@@ -83,10 +83,6 @@ def _ctx_tuple(ctx: Basis) -> tuple:
     return tuple(sorted(ctx.items()))
 
 
-def _ctx_dict(ctx) -> Basis:
-    return dict(ctx)
-
-
 def make_derivation(rule, ctx, term, type_, premises=(), leq_pair=None):
     return Derivation(rule, _ctx_tuple(ctx), term, type_, tuple(premises), leq_pair)
 
@@ -102,7 +98,7 @@ def derivation_error(spec: TheorySpec, d: Derivation):
         raise UnsupportedTheory("theory spec fails validation")
 
     def bad(d, path):
-        ctx = _ctx_dict(d.ctx)
+        ctx = dict(d.ctx)
         match d.rule:
             case "Ax":
                 ok = (
@@ -126,7 +122,7 @@ def derivation_error(spec: TheorySpec, d: Derivation):
                     and len(d.premises) == 1
                     and d.premises[0].term == d.term.body
                     and d.premises[0].type == d.type.cod
-                    and _ctx_dict(d.premises[0].ctx)
+                    and dict(d.premises[0].ctx)
                     == {**ctx, d.term.binder: d.type.dom}
                 )
             case "ArrowE":
@@ -291,20 +287,15 @@ class _Search:
         spec = self.spec
         if self._spine_refuted(ctx, m):
             return Verdict.NO, None
-        sawunknown = False
         for b in self._candidates(ctx, a):
             vf, df = self._derive(ctx, m.fun, Arrow(b, a), depth - 1)
-            if vf is Verdict.UNKNOWN:
-                sawunknown = True
             if vf is not Verdict.YES:
                 continue
             va, da = self._derive(ctx, m.arg, b, depth - 1)
-            if va is Verdict.UNKNOWN:
-                sawunknown = True
             if va is Verdict.YES:
                 d = make_derivation("ArrowE", ctx, m, a, (df, da))
                 return Verdict.YES, d
-        del sawunknown  # pool exhaustion is never an exact refutation
+        # pool exhaustion is never an exact refutation
         return Verdict.UNKNOWN, None
 
     def _spine_refuted(self, ctx, m) -> bool:

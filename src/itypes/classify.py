@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .assign import SuiteReport, Verdict
 from .errors import UnsupportedTheory
 from .filters import FiniteFilter, phi_membership
-from .subtype import _arrow_heads, eq, leq
+from .subtype import arrow_heads, eq, leq
 from .syntax import Arrow, Atom, Inter, NU, OMEGA, Type, inter_of, print_type
 from .theory import (
     BA_RULES,
@@ -105,7 +105,7 @@ def is_f_type_theory(spec: TheorySpec) -> Verdict:
 def _arrow_decomposition(spec: TheorySpec, a: Type) -> Type | None:
     """An intersection of arrows equivalent to a, if the arrow heads of a
     already suffice; None otherwise."""
-    heads = [h.arrow for h in _arrow_heads(spec, a)]
+    heads = arrow_heads(spec, a)
     if not heads:
         return None
     candidate = inter_of(heads)

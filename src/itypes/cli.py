@@ -25,7 +25,6 @@ from .laws import run_all
 from .subtype import leq_trace, proof_to_json
 from .syntax import parse_term, parse_type, print_type
 from .theory import NamedTheory, load_spec, named_theory
-from . import laws as _laws  # noqa: F401  (re-exported suites for scripting)
 
 _VERDICT_EXIT = {Verdict.YES: 0, Verdict.NO: 1, Verdict.UNKNOWN: 3}
 
@@ -199,6 +198,11 @@ def main(argv=None) -> int:
         return args.func(args, spec, budget)
     except (ItypesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Any other failure, such as RecursionError on a deeply nested
+        # input, is an error too: exit 1 must only ever mean "false".
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .assign import SearchBudget, Verdict, derives
 from .errors import EmptyEnvFilter
-from .subtype import _arrow_heads, canonical, leq
+from .subtype import arrow_heads, canonical, leq
 from .syntax import (
     Arrow,
     Atom,
@@ -67,11 +67,7 @@ def apply(spec: TheorySpec, x: FiniteFilter, y: FiniteFilter) -> FiniteFilter:
         if not spec.has_omega:
             return FiniteFilter(None)
         gen = Atom(OMEGA)
-    cods = [
-        h.arrow.cod
-        for h in _arrow_heads(spec, gen)
-        if member(spec, y, h.arrow.dom)
-    ]
+    cods = [h.cod for h in arrow_heads(spec, gen) if member(spec, y, h.dom)]
     if not cods:
         return FiniteFilter(None)
     return FiniteFilter(canonical(spec, inter_of(cods)))

@@ -3,9 +3,10 @@
 ``leq`` decides A <= B by flattening intersections and reducing arrow goals
 to a subset selection over the left side's "arrow heads" (explicit arrow
 conjuncts, atom-equation expansions, and the omega->omega contributions of
-the omega-eta / omega-lazy axioms).  Every positive answer carries a proof
-trace: a tree of primitive rule applications that ``check_proof`` can verify
-without trusting the algorithm.
+the omega-eta / omega-lazy axioms).  It builds no proof; its decisions are
+memoised in the theory's tables.  ``leq_trace`` decides first and gives every
+positive answer a proof trace: a tree of primitive rule applications that
+``check_proof`` can verify without trusting the algorithm.
 
 ``leq_oracle`` is the independent safety net: it saturates the subtype
 relation over a finite universe of types and answers from the closure.
@@ -17,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ResourceLimit, UnsupportedTheory
+from .errors import ResourceLimit
 from .syntax import (
     Arrow,
     Atom,
@@ -29,7 +30,7 @@ from .syntax import (
     inter_of,
     print_type,
 )
-from .theory import Rule, TheorySpec, validates_ba
+from .theory import TABLE_CAP, Rule, TheorySpec
 
 # ---------------------------------------------------------------- proofs
 
@@ -218,6 +219,74 @@ def _arrow_family(t: Type) -> Proof:
 
 # ---------------------------------------------------------------- leq
 
+_OMEGA = Atom(OMEGA)
+_OMEGA_ARROW = Arrow(_OMEGA, _OMEGA)
+
+
+def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
+    """The arrows a lies below: its arrow conjuncts, the expansions of its
+    equated atoms, and omega -> omega where omega-eta or omega-lazy gives it.
+    Memoised in the theory's tables."""
+    table = spec.tables.heads
+    heads = table.get(a)
+    if heads is None:
+        found = []
+        for leaf in conjuncts(a):
+            if isinstance(leaf, Arrow):
+                found.append(leaf)
+            elif isinstance(leaf, Atom):
+                rhs = spec.equation_for(leaf.name)
+                if rhs is not None:
+                    found.extend(conjuncts(rhs))
+        if Rule.OMEGA_ETA in spec.rules or (Rule.OMEGA_LAZY in spec.rules and found):
+            found.append(_OMEGA_ARROW)
+        heads = tuple(found)
+        if len(table) >= TABLE_CAP:
+            table.clear()
+        table[a] = heads
+    return heads
+
+
+def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
+    """Decide a <= b without building a proof.  Decisions are memoised in
+    the theory's tables; the case split is the one ``_build`` follows."""
+    memo = spec.tables.leq
+    if a is b:
+        return True
+    key = (a, b)
+    ok = memo.get(key)
+    if ok is not None:
+        return ok
+    if isinstance(b, Inter):
+        ok = leq(spec, a, b.left) and leq(spec, a, b.right)
+    elif isinstance(b, Atom):
+        if spec.has_omega and b.name == OMEGA:
+            ok = True
+        elif b in conjuncts(a):
+            ok = True
+        elif spec.has_nu and b.name == NU:
+            ok = bool(arrow_heads(spec, a))
+        else:
+            rhs = spec.equation_for(b.name)
+            ok = rhs is not None and leq(spec, a, rhs)
+    else:
+        c, d = b.dom, b.cod
+        heads = arrow_heads(spec, a)
+        if (
+            spec.has_omega and leq(spec, _OMEGA, d)
+            and (Rule.OMEGA_ETA in spec.rules
+                 or (Rule.OMEGA_LAZY in spec.rules and heads))
+        ):
+            ok = True
+        else:
+            # beta-soundness step: take every head whose domain absorbs c
+            cods = [h.cod for h in heads if leq(spec, c, h.dom)]
+            ok = bool(cods) and leq(spec, inter_of(cods), d)
+    if len(memo) >= TABLE_CAP:
+        memo.clear()
+    memo[key] = ok
+    return ok
+
 
 @dataclass(frozen=True)
 class _Head:
@@ -225,7 +294,8 @@ class _Head:
     proof: Proof  # a <= arrow
 
 
-def _arrow_heads(spec: TheorySpec, a: Type) -> list[_Head]:
+def _head_proofs(spec: TheorySpec, a: Type) -> list[_Head]:
+    """``arrow_heads`` with a proof of a <= head for each."""
     heads = []
     for path, leaf in _conjuncts_with_paths(a):
         if isinstance(leaf, Arrow):
@@ -236,8 +306,7 @@ def _arrow_heads(spec: TheorySpec, a: Type) -> list[_Head]:
                 base = _trans(_project(a, path), Proof("eq-unfold", leaf, rhs))
                 for qpath, arr in _conjuncts_with_paths(rhs):
                     heads.append(_Head(arr, _trans(base, _project(rhs, qpath))))
-    omega = Atom(OMEGA)
-    oo = Arrow(omega, omega)
+    omega, oo = _OMEGA, _OMEGA_ARROW
     if Rule.OMEGA_ETA in spec.rules:
         heads.append(
             _Head(oo, _trans(Proof("omega-top", a, omega), Proof("omega-eta", omega, oo)))
@@ -250,93 +319,73 @@ def _arrow_heads(spec: TheorySpec, a: Type) -> list[_Head]:
     return heads
 
 
-@lru_cache(maxsize=None)
-def _prove(spec: TheorySpec, a: Type, b: Type):
-    if a == b:
+def _build(spec: TheorySpec, a: Type, b: Type, memo: dict) -> Proof:
+    """The proof trace of a <= b, which ``leq`` must have accepted.  The
+    decision picks the branch, so no refuted subgoal is ever proved; ``memo``
+    shares subproofs within one trace."""
+    if a is b:
         return _refl(a)
+    key = (a, b)
+    p = memo.get(key)
+    if p is None:
+        p = memo[key] = _build_uncached(spec, a, b, memo)
+    return p
+
+
+def _build_uncached(spec, a, b, memo):
     if isinstance(b, Inter):
-        pl = _prove(spec, a, b.left)
-        if pl is None:
-            return None
-        pr = _prove(spec, a, b.right)
-        if pr is None:
-            return None
+        pl = _build(spec, a, b.left, memo)
+        pr = _build(spec, a, b.right, memo)
         return _trans(Proof("idem", a, Inter(a, a)), _mon(pl, pr))
 
-    leaves = _conjuncts_with_paths(a)
     if isinstance(b, Atom):
         if spec.has_omega and b.name == OMEGA:
             return Proof("omega-top", a, b)
-        for path, leaf in leaves:
-            if leaf == b:
+        for path, leaf in _conjuncts_with_paths(a):
+            if leaf is b:
                 return _project(a, path)
         if spec.has_nu and b.name == NU:
-            heads = _arrow_heads(spec, a)
-            if heads:
-                h = heads[0]
-                return _trans(h.proof, Proof("nu-top", h.arrow, b))
-            return None
+            h = _head_proofs(spec, a)[0]
+            return _trans(h.proof, Proof("nu-top", h.arrow, b))
         rhs = spec.equation_for(b.name)
-        if rhs is not None:
-            p = _prove(spec, a, rhs)
-            if p is not None:
-                return _trans(p, Proof("eq-fold", rhs, b))
-        return None
+        return _trans(_build(spec, a, rhs, memo), Proof("eq-fold", rhs, b))
 
-    assert isinstance(b, Arrow)
     c, d = b.dom, b.cod
-    omega = Atom(OMEGA)
-    if spec.has_omega:
-        p_od = _prove(spec, omega, d)  # d ~ omega?
-        if p_od is not None:
-            oo = Arrow(omega, omega)
-            tail = _eta(Proof("omega-top", c, omega), p_od)  # Ω→Ω <= c→d
-            if Rule.OMEGA_ETA in spec.rules:
-                return _trans(
-                    Proof("omega-top", a, omega),
-                    _trans(Proof("omega-eta", omega, oo), tail),
-                )
-            if Rule.OMEGA_LAZY in spec.rules:
-                heads = _arrow_heads(spec, a)
-                if heads:
-                    h = heads[0]
-                    return _trans(
-                        h.proof, _trans(Proof("omega-lazy", h.arrow, oo), tail)
-                    )
+    omega, oo = _OMEGA, _OMEGA_ARROW
+    if (
+        spec.has_omega and leq(spec, omega, d)
+        and (Rule.OMEGA_ETA in spec.rules
+             or (Rule.OMEGA_LAZY in spec.rules and arrow_heads(spec, a)))
+    ):
+        tail = _eta(Proof("omega-top", c, omega), _build(spec, omega, d, memo))  # Ω→Ω <= c→d
+        if Rule.OMEGA_ETA in spec.rules:
+            return _trans(
+                Proof("omega-top", a, omega),
+                _trans(Proof("omega-eta", omega, oo), tail),
+            )
+        h = _head_proofs(spec, a)[0]
+        return _trans(h.proof, _trans(Proof("omega-lazy", h.arrow, oo), tail))
 
     # beta-soundness step: take every head whose domain absorbs c
-    selected = []
-    for h in _arrow_heads(spec, a):
-        pc = _prove(spec, c, h.arrow.dom)
-        if pc is not None:
-            selected.append((h, pc))
-    if not selected:
-        return None
+    selected = [
+        (h, _build(spec, c, h.arrow.dom, memo))
+        for h in _head_proofs(spec, a)
+        if leq(spec, c, h.arrow.dom)
+    ]
     cods = inter_of([h.arrow.cod for h, _ in selected])
-    pd = _prove(spec, cods, d)
-    if pd is None:
-        return None
+    pd = _build(spec, cods, d, memo)
     p1 = _leq_parts(a, [h.proof for h, _ in selected])
     p2 = _arrow_family(p1.rhs)
     pc_all = _leq_parts(c, [pc for _, pc in selected])
     return _trans(p1, _trans(p2, _eta(pc_all, pd)))
 
 
-def _require_ba(spec):
-    if not validates_ba(spec):
-        raise UnsupportedTheory(
-            "the subtype decision procedure needs the arrow-inter and eta rules"
-        )
-
-
 def leq_trace(spec: TheorySpec, a: Type, b: Type):
-    """Decide a <= b; returns the proof trace on success, None on failure."""
-    _require_ba(spec)
-    return _prove(spec, a, b)
-
-
-def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
-    return leq_trace(spec, a, b) is not None
+    """Decide a <= b; returns the proof trace on success, None on failure.
+    The trace is built only after the decision accepts."""
+    if not leq(spec, a, b):
+        return None
+    return _build(spec, a, b, {})
 
 
 def eq(spec: TheorySpec, a: Type, b: Type) -> bool:

@@ -8,6 +8,7 @@ the right; application associates to the left.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownAtomError
@@ -17,28 +18,81 @@ NU = "nu"
 
 
 # ---------------------------------------------------------------- types
+#
+# Types are hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006): a constructor returns the one live node with its
+# fields, so structurally equal types are the same object.  Equality is
+# identity and the hash is id-based, so neither recurses however deep the
+# type.  The intern table holds its nodes weakly: a type nothing else
+# references is freed.
 
-@dataclass(frozen=True)
+_NODES: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _evict(ref, nodes=_NODES):
+    # Called as a node dies; a newer node under the same key stays.
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _intern(cls, *fields):
+    key = (cls, *fields)
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(node, name, value)
+    _NODES[key] = weakref.KeyedRef(node, _evict, key)
+    return node
+
+
 class Type:
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which re-interns
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
     def __str__(self):
         return print_type(self)
 
 
-@dataclass(frozen=True)
 class Atom(Type):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, name)
 
 
-@dataclass(frozen=True)
 class Arrow(Type):
-    dom: Type
-    cod: Type
+    __slots__ = ("dom", "cod")
+    __match_args__ = ("dom", "cod")
+
+    def __new__(cls, dom: Type, cod: Type):
+        return _intern(cls, dom, cod)
 
 
-@dataclass(frozen=True)
 class Inter(Type):
-    left: Type
-    right: Type
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Type, right: Type):
+        return _intern(cls, left, right)
 
 
 def type_size(t: Type) -> int:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import enum
 import json
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
+from .errors import UnsupportedTheory
 from .syntax import (
     Arrow,
     Atom,
@@ -45,12 +47,32 @@ class NamedTheory(enum.Enum):
     BCD = "bcd"
 
 
+# Entries per memo table.  A table that reaches the cap is cleared, which
+# bounds the memory a long-running process spends on one theory.
+TABLE_CAP = 1 << 18
+
+
+class TheoryTables:
+    """Memo tables of one theory, filled by the subtype decision.
+
+    ``leq`` maps a pair ``(a, b)`` of types to the decision of ``a <= b``;
+    ``heads`` maps a type to its arrow heads.  Types are hash-consed, so both
+    key on node identity.
+    """
+
+    __slots__ = ("leq", "heads")
+
+    def __init__(self):
+        self.leq: dict[tuple[Type, Type], bool] = {}
+        self.heads: dict[Type, tuple[Arrow, ...]] = {}
+
+
 @dataclass(frozen=True)
 class TheorySpec:
     atoms: frozenset[str]
     rules: frozenset[Rule]
     atom_equations: tuple[tuple[str, Type], ...] = ()
-    name: str | None = None
+    name: str | None = field(default=None, compare=False)
 
     @property
     def has_omega(self) -> bool:
@@ -66,12 +88,20 @@ class TheorySpec:
                 return rhs
         return None
 
-    def cache_key(self):
-        return (
-            tuple(sorted(self.atoms)),
-            tuple(sorted(r.value for r in self.rules)),
-            self.atom_equations,
-        )
+    @cached_property
+    def tables(self) -> TheoryTables:
+        """The subtype decision's memo tables for this theory, made once.
+        Making them checks that the decision applies: the spec must be valid,
+        or the decision need not terminate, and have the base rules."""
+        violations = validate(self)
+        if violations:
+            names = ", ".join(v.value for v in violations)
+            raise UnsupportedTheory(f"invalid theory spec: {names}")
+        if not validates_ba(self):
+            raise UnsupportedTheory(
+                "the subtype decision procedure needs the arrow-inter and eta rules"
+            )
+        return TheoryTables()
 
 
 def make_spec(atoms, rules, equations=None, name=None) -> TheorySpec:

@@ -43,6 +43,15 @@ def test_parse_error_exit_two(capsys):
     assert "error" in err
 
 
+def test_deeply_nested_input_exit_two(capsys):
+    deep = "(" * 3000 + "a" + ")" * 3000
+    code, out, err = run(capsys, "leq", "--theory", "ba", deep, "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unknown_theory_exit_two(capsys):
     code, _, err = run(capsys, "leq", "--theory", "zfc", "a", "a")
     assert code == 2

@@ -1,9 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
+from itypes import subtype
 from itypes.errors import ResourceLimit, UnsupportedTheory
 from itypes.subtype import (
     OracleResult,
     Proof,
+    _head_proofs,
+    _universe_atoms,
+    arrow_heads,
     canonical,
     canonical_types,
     check_proof,
@@ -13,9 +20,10 @@ from itypes.subtype import (
     leq_oracle,
     leq_trace,
     normalize,
+    proof_to_json,
 )
 from itypes.syntax import Arrow, Atom, Inter, parse_type as P, print_type
-from itypes.theory import BA_RULES, Rule, make_spec
+from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
 
 
 # ---------------------------------------------------------------- golden table
@@ -95,6 +103,34 @@ def test_non_ba_spec_rejected():
         leq(spec, P("a"), P("a"))
 
 
+@pytest.mark.parametrize("lhs,rhs", [("a", "b"), ("a", "b -> a"), ("b", "a -> b")])
+def test_invalid_spec_rejected(lhs, rhs):
+    # cyclic equations: deciding would recurse without end
+    spec = make_spec({"a", "b"}, BA_RULES, {"a": P("b -> b"), "b": P("a -> a")})
+    with pytest.raises(UnsupportedTheory):
+        leq(spec, P(lhs), P(rhs))
+    with pytest.raises(UnsupportedTheory):
+        leq_trace(spec, P(lhs), P(rhs))
+
+
+def test_memo_tables_are_cleared_at_cap(monkeypatch):
+    types = enumerate_types({"a", "b", "omega"}, 4)
+    uncapped = named_theory(NamedTheory.BCD, 2)
+    want = [[leq(uncapped, a, b) for b in types] for a in types]
+    monkeypatch.setattr(subtype, "TABLE_CAP", 8)
+    capped = named_theory(NamedTheory.BCD, 2)  # a new spec has new tables
+    assert [[leq(capped, a, b) for b in types] for a in types] == want
+    assert len(capped.tables.leq) <= 8
+    assert len(capped.tables.heads) <= 8
+
+
+def test_deep_type_is_below_itself(ba):
+    t = Atom("a")
+    for _ in range(600):
+        t = Arrow(t, Atom("b"))
+    assert leq(ba, t, t)
+
+
 # ---------------------------------------------------------------- traces
 
 
@@ -110,6 +146,33 @@ def test_positive_answers_carry_checkable_traces(bcd):
         assert p is not None
         assert p.lhs == P(lhs) and p.rhs == P(rhs)
         assert check_proof(bcd, p)
+
+
+def test_traces_match_golden_digest(all_theories):
+    # sha256 of every trace (None for a refuted pair) over the size-4
+    # universes; it pins the traces as well as the verdicts
+    digest = hashlib.sha256()
+    for name in ("ba", "ehr", "ao", "bcd"):
+        spec = all_theories[name]
+        types = enumerate_types(_universe_atoms(spec, frozenset({"a", "b"})), 4)
+        for a in types:
+            for b in types:
+                trace = leq_trace(spec, a, b)
+                data = proof_to_json(trace) if trace is not None else None
+                digest.update(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "f65ba8e3f1068fba7c36cb35347d35901173c566bccec68ac1e0cf53c58bf2c5"
+    )
+
+
+def test_arrow_heads_match_their_proofs(all_theories):
+    spec_eq = make_spec({"a", "b"}, BA_RULES, {"a": P("(b -> b) & (b & b -> b)")})
+    for spec in [*all_theories.values(), spec_eq]:
+        for t in enumerate_types(_universe_atoms(spec, frozenset({"a", "b"})), 4):
+            heads = _head_proofs(spec, t)
+            assert tuple(h.arrow for h in heads) == arrow_heads(spec, t)
+            assert all(h.proof.lhs == t and h.proof.rhs == h.arrow for h in heads)
+            assert all(check_proof(spec, h.proof) for h in heads)
 
 
 def test_trace_is_none_on_failure(ba):

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +26,32 @@ from itypes.syntax import (
 )
 
 # ---------------------------------------------------------------- types
+
+
+@pytest.mark.parametrize("src", ["a", "a -> b", "(a -> b) & a -> b & c"])
+def test_types_are_interned(src):
+    t = parse_type(src)
+    assert parse_type(src) is t
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_unreferenced_types_are_freed():
+    t = parse_type("freed_a -> freed_b")
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+
+
+def test_types_are_immutable():
+    t = parse_type("a -> b")
+    with pytest.raises(AttributeError):
+        t.dom = Atom("b")
+    with pytest.raises(AttributeError):
+        del t.cod
+    assert t is Arrow(Atom("a"), Atom("b"))
 
 
 @pytest.mark.parametrize(

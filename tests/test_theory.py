@@ -112,6 +112,13 @@ def test_json_roundtrip_with_equations():
     assert spec_from_json(spec_to_json(spec)) == spec
 
 
+def test_spec_equality_ignores_name():
+    plain = make_spec({"a"}, BA_RULES, name="one")
+    other = make_spec({"a"}, BA_RULES, name="two")
+    assert plain == other
+    assert hash(plain) == hash(other)
+
+
 def test_json_omits_distinguished_atoms_from_atom_list(bcd):
     data = spec_to_json(bcd)
     assert OMEGA not in data["atoms"]
