@@ -34,15 +34,7 @@ from .syntax import (
     type_atoms,
     type_size,
 )
-from .subtype import (
-    NAtom,
-    NArrow,
-    canonical,
-    canonical_types,
-    denorm,
-    leq,
-    normalize,
-)
+from .subtype import canonical, canonical_types, leq, normalize
 from .theory import TheorySpec, validate, validates_ba
 
 Basis = dict[str, Type]
@@ -177,6 +169,11 @@ def _via_leq(spec, ctx, term, got: Derivation, want: Type) -> Derivation:
 
 class _Search:
     def __init__(self, spec: TheorySpec, budget: SearchBudget):
+        if not validates_ba(spec):
+            raise UnsupportedTheory(
+                "derivation search needs the arrow-inter and eta rules"
+            )
+        spec.tables  # an invalid spec raises here, before any search
         self.spec = spec
         self.budget = budget
         # verdict cache: YES/NO are depth-independent, UNKNOWN remembers the
@@ -228,18 +225,16 @@ class _Search:
 
     def _derive_lam(self, ctx, m, a, depth):
         spec = self.spec
-        nf = normalize(spec, a)
         results = []  # (conjunct Type, verdict, derivation)
-        for item in nf.conjuncts:
-            t = denorm(item)
-            if isinstance(item, NArrow):
+        for t in normalize(spec, a):
+            if isinstance(t, Arrow):
                 v, d = self._lam_arrow(ctx, m, t, depth)
-            elif item == NAtom(NU) and spec.has_nu:
+            elif t.name == NU and spec.has_nu:
                 v, d = Verdict.YES, make_derivation("AxNu", ctx, m, t)
-            elif item == NAtom(OMEGA) and spec.has_omega:
+            elif t.name == OMEGA and spec.has_omega:
                 v, d = Verdict.YES, make_derivation("AxOmega", ctx, m, t)
-            elif isinstance(item, NAtom) and spec.equation_for(item.name) is not None:
-                v, d = self._lam_equation(ctx, m, item.name, depth)
+            elif spec.equation_for(t.name) is not None:
+                v, d = self._lam_equation(ctx, m, t.name, depth)
             else:
                 # a plain atom can never be inhabited by an abstraction
                 v, d = Verdict.NO, None
@@ -366,10 +361,6 @@ def derives(
 ) -> tuple[Verdict, Derivation | None]:
     """Search for a derivation of ctx |- m : a.  YES comes with a checkable
     derivation; NO is an exact refutation; UNKNOWN means the budget ran out."""
-    if not validates_ba(spec):
-        raise UnsupportedTheory(
-            "derivation search needs the arrow-inter and eta rules"
-        )
     return _Search(spec, budget).run(ctx, m, a)
 
 
@@ -383,6 +374,7 @@ def infer_types(
 ) -> set[Type]:
     """All canonical types of bounded size (over the given atoms plus the
     theory's distinguished constants) derivable for m."""
+    search = _Search(spec, budget)
     names = set(atoms) & spec.atoms
     if spec.has_omega:
         names.add(OMEGA)
@@ -390,7 +382,6 @@ def infer_types(
         names.add(NU)
     if len(names) ** max(size_bound, 1) > 10**6:
         raise ResourceLimit("type universe too large for enumeration")
-    search = _Search(spec, budget)
     out = set()
     for t in canonical_types(spec, names, size_bound):
         v, _ = search.run(ctx, m, t)

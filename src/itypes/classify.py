@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .assign import SuiteReport, Verdict
 from .errors import UnsupportedTheory
-from .filters import FiniteFilter, phi_membership
 from .subtype import arrow_heads, eq, leq
 from .syntax import Arrow, Atom, Inter, NU, OMEGA, Type, inter_of, print_type
 from .theory import (
@@ -198,15 +197,3 @@ def adequacy_report(spec: TheorySpec) -> AdequacyReport:
             )
     return AdequacyReport(strict, natural, inference, simple, f_type, f_type, notes)
 
-
-def fun_implies_phi_check(spec: TheorySpec, corpus) -> SuiteReport:
-    """In an F-type theory, a filter generated by a functional type is in the
-    functionality set."""
-    report = SuiteReport()
-    for a in corpus:
-        if fun_predicate(spec, a) is not Verdict.YES:
-            continue
-        report.checked += 1
-        if not phi_membership(spec, FiniteFilter(a)):
-            report.counterexamples.append((print_type(a),))
-    return report

@@ -395,59 +395,36 @@ def eq(spec: TheorySpec, a: Type, b: Type) -> bool:
 # ---------------------------------------------------------------- normal forms
 
 
-@dataclass(frozen=True)
-class NAtom:
-    name: str
+def _conjunct_key(t):
+    if isinstance(t, Atom):
+        return (0, t.name)
+    return (1, print_type(t.dom), print_type(t.cod))
 
 
-@dataclass(frozen=True)
-class NArrow:
-    dom: "NormalType"
-    cod: "NormalType"
-
-
-@dataclass(frozen=True)
-class NormalType:
-    conjuncts: tuple
-
-    @property
-    def is_top(self) -> bool:
-        return self.conjuncts == (NAtom(OMEGA),)
-
-
-def _item_key(item):
-    if isinstance(item, NAtom):
-        return (0, item.name)
-    return (1, print_type(denorm(item.dom)), print_type(denorm(item.cod)))
-
-
-def normalize(spec: TheorySpec, t: Type) -> NormalType:
-    """Flatten intersections, dedupe, drop redundant omega conjuncts, sort."""
-    items = []
-    for leaf in conjuncts(t):
-        if isinstance(leaf, Atom):
-            items.append(NAtom(leaf.name))
-        else:
-            items.append(NArrow(normalize(spec, leaf.dom), normalize(spec, leaf.cod)))
-    seen = []
-    for item in items:
-        if item not in seen:
-            seen.append(item)
-    if spec.has_omega and len(seen) > 1:
-        seen = [i for i in seen if i != NAtom(OMEGA)] or [NAtom(OMEGA)]
-    return NormalType(tuple(sorted(seen, key=_item_key)))
-
-
-def denorm(nt) -> Type:
-    if isinstance(nt, NAtom):
-        return Atom(nt.name)
-    if isinstance(nt, NArrow):
-        return Arrow(denorm(nt.dom), denorm(nt.cod))
-    return inter_of([denorm(i) for i in nt.conjuncts])
+def normalize(spec: TheorySpec, t: Type) -> tuple[Type, ...]:
+    """The canonical conjuncts of t: intersections flattened, arrow sides
+    made canonical, duplicates and redundant omega dropped, sorted.
+    Memoised in the theory's tables."""
+    table = spec.tables.canon
+    parts = table.get(t)
+    if parts is None:
+        seen = []
+        for leaf in conjuncts(t):
+            if isinstance(leaf, Arrow):
+                leaf = Arrow(canonical(spec, leaf.dom), canonical(spec, leaf.cod))
+            if leaf not in seen:
+                seen.append(leaf)
+        if spec.has_omega and len(seen) > 1:
+            seen = [c for c in seen if c is not _OMEGA]
+        parts = tuple(sorted(seen, key=_conjunct_key))
+        if len(table) >= TABLE_CAP:
+            table.clear()
+        table[t] = parts
+    return parts
 
 
 def canonical(spec: TheorySpec, t: Type) -> Type:
-    return denorm(normalize(spec, t))
+    return inter_of(normalize(spec, t))
 
 
 # ---------------------------------------------------------------- enumeration
@@ -474,16 +451,21 @@ def enumerate_types(atom_names, max_size: int) -> list[Type]:
     return out
 
 
-def canonical_types(spec: TheorySpec, atom_names, max_size: int) -> list[Type]:
-    """Canonical representatives (one per normal form) of the enumerated types."""
-    out = []
-    seen = set()
-    for t in enumerate_types(atom_names, max_size):
-        ct = canonical(spec, t)
-        if ct not in seen:
-            seen.add(ct)
-            out.append(ct)
-    return out
+def canonical_types(spec: TheorySpec, atom_names, max_size: int) -> tuple[Type, ...]:
+    """Canonical representatives (one per normal form) of the enumerated
+    types, in enumeration order.  Memoised in the theory's tables."""
+    table = spec.tables.pools
+    key = (frozenset(atom_names), max_size)
+    pool = table.get(key)
+    if pool is None:
+        # a dict keeps first occurrences in order
+        pool = tuple(dict.fromkeys(
+            canonical(spec, t) for t in enumerate_types(key[0], max_size)
+        ))
+        if len(table) >= TABLE_CAP:
+            table.clear()
+        table[key] = pool
+    return pool
 
 
 # ---------------------------------------------------------------- oracle

@@ -209,6 +209,12 @@ def canonical_term(t: Term) -> Term:
 
 # ---------------------------------------------------------------- lexer
 
+# The parsers recurse once per level of nesting, where a level is a
+# parenthesis, a right-nested ``->`` or a ``\x.``.  Input nested deeper than
+# this raises ParseError.  A parenthesis costs three stack frames, so the
+# limit fires well before the interpreter's default recursion limit of 1000.
+MAX_NESTING = 200
+
 _SYMBOLS = ("->", "\\", ".", "(", ")", "&")
 
 
@@ -262,38 +268,45 @@ class _Parser:
         if tok[0] != "eof":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2], expected="end of input")
 
+    def check_nesting(self, depth):
+        if depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than MAX_NESTING = {MAX_NESTING}", self.peek()[2]
+            )
+
 
 def parse_term(src: str) -> Term:
     """Parse ``term ::= lam | app``; application is left-associative and a
     lambda body extends as far right as possible."""
     p = _Parser(src)
-    t = _term(p)
+    t = _term(p, 0)
     p.done()
     return t
 
 
-def _term(p):
+def _term(p, depth):
+    p.check_nesting(depth)
     if p.peek()[0] == "\\":
         p.next()
         binder = p.expect("ident")[1]
         p.expect(".")
-        return Lam(binder, _term(p))
-    return _app(p)
+        return Lam(binder, _term(p, depth + 1))
+    return _app(p, depth)
 
 
-def _app(p):
-    t = _atom_term(p)
+def _app(p, depth):
+    t = _atom_term(p, depth)
     while p.peek()[0] in ("ident", "("):
-        t = App(t, _atom_term(p))
+        t = App(t, _atom_term(p, depth))
     return t
 
 
-def _atom_term(p):
+def _atom_term(p, depth):
     kind, value, offset = p.next()
     if kind == "ident":
         return Var(value)
     if kind == "(":
-        t = _term(p)
+        t = _term(p, depth + 1)
         p.expect(")")
         return t
     raise ParseError(f"unexpected {value or 'end of input'!r}", offset, expected="term")
@@ -303,7 +316,7 @@ def parse_type(src: str, spec=None) -> Type:
     """Parse a type; when ``spec`` is given, every atom must belong to its
     constant set."""
     p = _Parser(src)
-    t = _type(p)
+    t = _type(p, 0)
     p.done()
     if spec is not None:
         for name in sorted(type_atoms(t)):
@@ -312,28 +325,29 @@ def parse_type(src: str, spec=None) -> Type:
     return t
 
 
-def _type(p):
-    left = _inter(p)
+def _type(p, depth):
+    p.check_nesting(depth)
+    left = _inter(p, depth)
     if p.peek()[0] == "->":
         p.next()
-        return Arrow(left, _type(p))
+        return Arrow(left, _type(p, depth + 1))
     return left
 
 
-def _inter(p):
-    t = _prim(p)
+def _inter(p, depth):
+    t = _prim(p, depth)
     while p.peek()[0] == "&":
         p.next()
-        t = Inter(t, _prim(p))
+        t = Inter(t, _prim(p, depth))
     return t
 
 
-def _prim(p):
+def _prim(p, depth):
     kind, value, offset = p.next()
     if kind == "ident":
         return Atom(value)
     if kind == "(":
-        t = _type(p)
+        t = _type(p, depth + 1)
         p.expect(")")
         return t
     raise ParseError(f"unexpected {value or 'end of input'!r}", offset, expected="type")

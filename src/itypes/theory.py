@@ -53,18 +53,23 @@ TABLE_CAP = 1 << 18
 
 
 class TheoryTables:
-    """Memo tables of one theory, filled by the subtype decision.
+    """Memo tables of one theory, filled by the subtype decision and by
+    normalisation.
 
     ``leq`` maps a pair ``(a, b)`` of types to the decision of ``a <= b``;
-    ``heads`` maps a type to its arrow heads.  Types are hash-consed, so both
-    key on node identity.
+    ``heads`` maps a type to its arrow heads; ``canon`` maps a type to its
+    canonical conjuncts; ``pools`` maps ``(frozenset(atoms), max_size)`` to
+    the canonical types of that universe.  Types are hash-consed, so the
+    tables key on node identity.
     """
 
-    __slots__ = ("leq", "heads")
+    __slots__ = ("leq", "heads", "canon", "pools")
 
     def __init__(self):
         self.leq: dict[tuple[Type, Type], bool] = {}
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
+        self.canon: dict[Type, tuple[Type, ...]] = {}
+        self.pools: dict[tuple[frozenset[str], int], tuple[Type, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,9 @@ class TheorySpec:
 
     @cached_property
     def tables(self) -> TheoryTables:
-        """The subtype decision's memo tables for this theory, made once.
-        Making them checks that the decision applies: the spec must be valid,
-        or the decision need not terminate, and have the base rules."""
+        """The memo tables for this theory, made once.  Making them checks
+        that the decision applies: the spec must be valid, or the decision
+        need not terminate, and have the base rules."""
         violations = validate(self)
         if violations:
             names = ", ".join(v.value for v in violations)

@@ -168,6 +168,16 @@ def test_non_ba_spec_raises():
         derives(spec, {}, T("x"), P("a"))
 
 
+def test_invalid_spec_raises_before_search():
+    # cyclic equations; the variable x is outside the empty context, so the
+    # search would answer NO without ever deciding a subtype
+    spec = make_spec({"a", "b"}, BA_RULES, {"a": P("b -> a"), "b": P("a -> b")})
+    with pytest.raises(UnsupportedTheory, match="CyclicEquations"):
+        derives(spec, {}, T("x"), P("a"))
+    with pytest.raises(UnsupportedTheory, match="CyclicEquations"):
+        infer_types(spec, {}, T("x"), 3, {"a"})
+
+
 def test_search_results_check_out_on_random_corpus(bcd):
     for ctx, m, a, d in random_judgments(bcd, {"a", "b"}, seed=7, count=15):
         assert check_derivation(bcd, d)

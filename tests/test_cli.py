@@ -50,6 +50,8 @@ def test_deeply_nested_input_exit_two(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert "MAX_NESTING" in err
+    assert "RecursionError" not in err
 
 
 def test_unknown_theory_exit_two(capsys):

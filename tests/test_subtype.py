@@ -115,13 +115,26 @@ def test_invalid_spec_rejected(lhs, rhs):
 
 def test_memo_tables_are_cleared_at_cap(monkeypatch):
     types = enumerate_types({"a", "b", "omega"}, 4)
-    uncapped = named_theory(NamedTheory.BCD, 2)
-    want = [[leq(uncapped, a, b) for b in types] for a in types]
+    universes = [
+        (atoms, size)
+        for atoms in ({"a"}, {"a", "omega"}, {"a", "b", "omega"})
+        for size in range(1, 5)
+    ]
+
+    def answers(spec):
+        return (
+            [[leq(spec, a, b) for b in types] for a in types],
+            [canonical(spec, t) for t in types],
+            [canonical_types(spec, atoms, size) for atoms, size in universes],
+        )
+
+    want = answers(named_theory(NamedTheory.BCD, 2))
     monkeypatch.setattr(subtype, "TABLE_CAP", 8)
     capped = named_theory(NamedTheory.BCD, 2)  # a new spec has new tables
-    assert [[leq(capped, a, b) for b in types] for a in types] == want
-    assert len(capped.tables.leq) <= 8
-    assert len(capped.tables.heads) <= 8
+    assert answers(capped) == want
+    tables = capped.tables
+    for table in (tables.leq, tables.heads, tables.canon, tables.pools):
+        assert 0 < len(table) <= 8
 
 
 def test_deep_type_is_below_itself(ba):
@@ -200,6 +213,7 @@ def test_checker_rejects_bad_transitivity(ba):
 def test_normalize_flattens_and_sorts(bcd):
     assert canonical(bcd, P("(a & b) & a")) == canonical(bcd, P("b & a"))
     assert normalize(bcd, P("a & a")) == normalize(bcd, P("a"))
+    assert normalize(bcd, P("(b -> a) & a & b")) == (P("a"), P("b"), P("b -> a"))
 
 
 def test_normalize_drops_redundant_omega(bcd):
@@ -238,6 +252,24 @@ def test_canonical_types_are_unique(bcd):
     assert len(out) == len(set(out))
     for t in out:
         assert canonical(bcd, t) == t
+    assert canonical_types(bcd, {"omega", "a"}, 4) is out
+
+
+def test_canonical_forms_match_golden_digest():
+    # sha256 of the canonical form of every size-5 type and of the size-3,
+    # 4 and 5 candidate pools, in order; it pins the forms and the pool order
+    digest = hashlib.sha256()
+    for name in NamedTheory:
+        spec = named_theory(name, 2)
+        atoms = set(spec.atoms)
+        for t in enumerate_types(atoms, 5):
+            digest.update((print_type(canonical(spec, t)) + "\n").encode())
+        for size in (3, 4, 5):
+            for t in canonical_types(spec, atoms, size):
+                digest.update((print_type(t) + ";").encode())
+    assert digest.hexdigest() == (
+        "13d8050b7a1002c43d61964113c451687f89be250bd1c086a7319d00d420b904"
+    )
 
 
 # ---------------------------------------------------------------- oracle

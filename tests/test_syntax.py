@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from itypes.errors import ParseError, UnknownAtomError
 from itypes.syntax import (
+    MAX_NESTING,
     App,
     Arrow,
     Atom,
@@ -81,6 +82,23 @@ def test_parse_type_rejects_garbage():
         parse_type("(a -> b")
     with pytest.raises(ParseError):
         parse_type("a b")
+
+
+@pytest.mark.parametrize(
+    "parse,nest",
+    [
+        (parse_type, lambda n: "(" * n + "a" + ")" * n),
+        (parse_type, lambda n: "a -> " * n + "a"),
+        (parse_term, lambda n: "(" * n + "x" + ")" * n),
+        (parse_term, lambda n: "\\x. " * n + "x"),
+    ],
+)
+def test_nesting_beyond_limit_is_a_parse_error(parse, nest):
+    parse(nest(MAX_NESTING))
+    with pytest.raises(ParseError, match="MAX_NESTING"):
+        parse(nest(MAX_NESTING + 1))
+    with pytest.raises(ParseError, match="MAX_NESTING"):
+        parse(nest(3000))
 
 
 def test_parse_type_checks_atoms_against_spec(ba):
