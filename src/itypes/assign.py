@@ -1,8 +1,11 @@
 """Type assignment: derivation checking and budgeted, inversion-directed search.
 
 The search follows the shape of the judgment's subject.  Variables are decided
-exactly; abstractions are decomposed conjunct by conjunct; applications search
-an argument type over a finite candidate pool.  Typability subsumes
+exactly; abstractions are decomposed conjunct by conjunct.  An application
+``x N1 ... Nk`` with a variable head is inverted exactly: its types are the
+upward closure of iterated filter application (generation lemma plus
+beta-soundness), so only the arguments need searching.  Other applications
+search an argument type over a finite candidate pool.  Typability subsumes
 normalization questions, so the search is honest about its limits: ``UNKNOWN``
 is a first-class verdict and ``NO`` is only produced by exact refutations.
 """
@@ -27,6 +30,7 @@ from .syntax import (
     canonical_term,
     conjuncts,
     free_vars,
+    inter_of,
     parse_term,
     parse_type,
     print_term,
@@ -34,7 +38,7 @@ from .syntax import (
     type_atoms,
     type_size,
 )
-from .subtype import canonical, canonical_types, leq, normalize
+from .subtype import arrow_heads, canonical, canonical_types, leq, normalize
 from .theory import TheorySpec, validate, validates_ba
 
 Basis = dict[str, Type]
@@ -167,6 +171,22 @@ def _via_leq(spec, ctx, term, got: Derivation, want: Type) -> Derivation:
     return make_derivation("Leq", ctx, term, want, (got,), (got.type, want))
 
 
+def _retarget(d: Derivation, ctx: Basis, m: Term) -> Derivation:
+    """d rebuilt for m, an alpha-variant of d.term, under ctx.  The verdict
+    cache is keyed up to alpha-equivalence, so a hit can carry the tree of
+    another variant, whose binders the checker would not accept for m."""
+    match d.rule:
+        case "ArrowI":
+            (body,) = d.premises
+            premises = (_retarget(body, {**ctx, m.binder: d.type.dom}, m.body),)
+        case "ArrowE":
+            fun, arg = d.premises
+            premises = (_retarget(fun, ctx, m.fun), _retarget(arg, ctx, m.arg))
+        case _:  # the other rules keep the subject term
+            premises = tuple(_retarget(p, ctx, m) for p in d.premises)
+    return make_derivation(d.rule, ctx, m, d.type, premises, d.leq_pair)
+
+
 class _Search:
     def __init__(self, spec: TheorySpec, budget: SearchBudget):
         if not validates_ba(spec):
@@ -179,12 +199,18 @@ class _Search:
         # verdict cache: YES/NO are depth-independent, UNKNOWN remembers the
         # largest depth that failed to settle the query
         self.cache: dict = {}
+        self.terms: dict[int, tuple[Term, Term]] = {}  # id(m) -> (m, canonical)
 
     def run(self, ctx: Basis, m: Term, a: Type) -> tuple[Verdict, Derivation | None]:
         return self._derive(dict(ctx), m, a, self.budget.max_depth)
 
     def _key(self, ctx, m, a):
-        return (_ctx_tuple(ctx), canonical_term(m), a)
+        # a judgment's subterms are fixed, so each is renamed once; the entry
+        # holds m itself so that its id cannot be reused
+        hit = self.terms.get(id(m))
+        if hit is None:
+            hit = self.terms[id(m)] = (m, canonical_term(m))
+        return (_ctx_tuple(ctx), hit[1], a)
 
     def _derive(self, ctx, m, a, depth):
         key = self._key(ctx, m, a)
@@ -192,6 +218,8 @@ class _Search:
         if hit is not None:
             verdict, d, at_depth = hit
             if verdict is not Verdict.UNKNOWN or at_depth >= depth:
+                if d is not None and d.term != m:
+                    d = _retarget(d, ctx, m)
                 return verdict, d
         if depth <= 0:
             return Verdict.UNKNOWN, None
@@ -276,12 +304,20 @@ class _Search:
             "InterI", ctx, m, Inter(head_t, rest_d.type), (head_d, rest_d)
         )
 
-    # -- application: candidate-pool search for the argument type
+    # -- application: exact spine inversion for a variable head, otherwise a
+    #    candidate-pool search for the argument type
 
     def _derive_app(self, ctx, m, a, depth):
-        spec = self.spec
-        if self._spine_refuted(ctx, m):
-            return Verdict.NO, None
+        spine = []
+        head = m
+        while isinstance(head, App):
+            spine.append(head)
+            head = head.fun
+        if isinstance(head, Var):
+            v, d = self._invert_spine(ctx, head, spine[::-1], a, depth)
+            if v is not Verdict.UNKNOWN:
+                return v, d
+        # the pool can only add a YES: its exhaustion is no refutation
         for b in self._candidates(ctx, a):
             vf, df = self._derive(ctx, m.fun, Arrow(b, a), depth - 1)
             if vf is not Verdict.YES:
@@ -290,29 +326,64 @@ class _Search:
             if va is Verdict.YES:
                 d = make_derivation("ArrowE", ctx, m, a, (df, da))
                 return Verdict.YES, d
-        # pool exhaustion is never an exact refutation
         return Verdict.UNKNOWN, None
 
-    def _spine_refuted(self, ctx, m) -> bool:
-        """A variable-headed application is hopeless when the head's type has
-        no functional behaviour at all (no arrow conjuncts, no expansions)."""
+    def _invert_spine(self, ctx, head, apps, a, depth):
+        """Decide x N1 ... Nk : a by iterated filter application.
+
+        By the generation lemma and beta-soundness the types of x N1 ... Ni
+        are the upward closure of T_i: T_0 is the type of x, and T_i meets
+        the codomains of the arrow heads of T_(i-1) whose domains Ni has.
+        With no such head, x N1 ... Ni has only the types above omega: none
+        at all in a theory without omega.  An unbound x is treated the same
+        way.  Ni is searched at the depth the pool would give it.  An
+        argument the search cannot settle only drops a head, which weakens
+        T_i: YES stays sound, NO becomes UNKNOWN."""
         spec = self.spec
-        head = m
-        while isinstance(head, App):
-            head = head.fun
-        if not isinstance(head, Var):
-            return False
-        if spec.has_omega:
-            return False  # omega-eta/lazy can conjure arrows
-        t = ctx.get(head.name)
-        if t is None:
-            return True
-        for leaf in conjuncts(t):
-            if isinstance(leaf, Arrow):
-                return False
-            if isinstance(leaf, Atom) and spec.equation_for(leaf.name) is not None:
-                return False
-        return True
+        if head.name in ctx:
+            t = ctx[head.name]
+        elif spec.has_omega:
+            t = Atom(OMEGA)
+        else:
+            return Verdict.NO, None
+        settled = True
+        steps = []  # per application, the (head, argument derivation) pairs kept
+        k = len(apps)
+        for i, app in enumerate(apps):
+            kept = []
+            for h in arrow_heads(spec, t):
+                v, da = self._derive(ctx, app.arg, h.dom, depth - (k - i))
+                if v is Verdict.YES:
+                    kept.append((h, da))
+                elif v is Verdict.UNKNOWN:
+                    settled = False
+            if kept:
+                t = inter_of([h.cod for h, _ in kept])
+            elif spec.has_omega:
+                t = Atom(OMEGA)
+            else:
+                return (Verdict.NO if settled else Verdict.UNKNOWN), None
+            steps.append(kept)
+        if not leq(spec, t, a):
+            return (Verdict.NO if settled else Verdict.UNKNOWN), None
+        return Verdict.YES, self._spine_derivation(ctx, head, apps, steps, a)
+
+    def _spine_derivation(self, ctx, head, apps, steps, a):
+        """The derivation of x N1 ... Nk : a that _invert_spine's steps give."""
+        spec = self.spec
+        if head.name in ctx:
+            d = make_derivation("Ax", ctx, head, ctx[head.name])
+        else:
+            d = make_derivation("AxOmega", ctx, head, Atom(OMEGA))
+        for app, kept in zip(apps, steps):
+            if not kept:
+                d = make_derivation("AxOmega", ctx, app, Atom(OMEGA))
+                continue
+            da = self._inter_intro(ctx, app.arg, [(h.dom, e) for h, e in kept])
+            cod = inter_of([h.cod for h, _ in kept])
+            df = _via_leq(spec, ctx, app.fun, d, Arrow(da.type, cod))
+            d = make_derivation("ArrowE", ctx, app, cod, (df, da))
+        return _via_leq(spec, ctx, apps[-1], d, a)
 
     def _candidates(self, ctx, a):
         spec = self.spec

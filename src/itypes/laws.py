@@ -290,39 +290,89 @@ def _random_term(rng: random.Random, depth: int):
             return App(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
 
 
-def random_judgments(spec: TheorySpec, atoms, seed: int, count: int, budget=None):
-    """Seeded stream of Yes-judgments found by the search; used as corpora."""
-    budget = budget or SearchBudget(max_candidate_type_size=4, max_depth=16)
+def _judgments(spec: TheorySpec, atoms, seed: int, count: int, budget):
+    """Seeded random judgments with the search's answers, drawn until count
+    of them are Yes or count * 60 have been drawn."""
     rng = random.Random(seed)
     pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 60:
-        attempts += 1
+    yes = 0
+    for _ in range(count * 60):
+        if yes >= count:
+            return
         m = _random_term(rng, rng.randrange(1, 4))
         ctx = {v: rng.choice(pool) for v in ("x", "y", "z") if rng.random() < 0.7}
         a = rng.choice(pool)
         v, d = derives(spec, ctx, m, a, budget)
-        if v is Verdict.YES:
-            out.append((ctx, m, a, d))
-    return out
+        yes += v is Verdict.YES
+        yield ctx, m, a, v, d
+
+
+def random_judgments(spec: TheorySpec, atoms, seed: int, count: int, budget=None):
+    """Seeded stream of Yes-judgments found by the search; used as corpora."""
+    budget = budget or SearchBudget(max_candidate_type_size=4, max_depth=16)
+    return [
+        (ctx, m, a, d)
+        for ctx, m, a, v, d in _judgments(spec, atoms, seed, count, budget)
+        if v is Verdict.YES
+    ]
 
 
 def search_soundness_law(
     spec: TheorySpec, atoms, size: int, seed: int, samples: int = 25
 ) -> LawResult:
     """Every Yes from the search comes with a derivation the checker accepts,
-    and Yes survives a budget increase."""
+    and Yes and No both survive a budget increase."""
     res = LawResult("search-soundness")
+    small = SearchBudget(max_candidate_type_size=4, max_depth=16)
     big = SearchBudget(max_candidate_type_size=5, max_depth=32)
-    for ctx, m, a, d in random_judgments(spec, atoms, seed, samples):
+    for ctx, m, a, v, d in _judgments(spec, atoms, seed, samples, small):
+        if v is Verdict.UNKNOWN:
+            continue
         res.checked += 1
-        if d is None or not check_derivation(spec, d):
+        if v is Verdict.YES and (d is None or not check_derivation(spec, d)):
             res.failures.append((str(m), print_type(a), "bad-derivation"))
             continue
         v2, _ = derives(spec, ctx, m, a, big)
-        if v2 is not Verdict.YES:
-            res.failures.append((str(m), print_type(a), "budget-flip"))
+        if v2 is not v:
+            res.failures.append((str(m), print_type(a), f"budget-flip-{v.value}"))
+    return res
+
+
+def spine_filter_law(
+    spec: TheorySpec, atoms, size: int, seed: int, samples: int = 200
+) -> LawResult:
+    """The search decides every spine x y1 ... yk of variables exactly, as
+    iterated filter application: ctx |- x y1 ... yk : a holds iff a belongs
+    to up(ctx[x]) . up(ctx[y1]) ... up(ctx[yk]), an unbound variable
+    standing for the filter of the empty set.  Every Yes derivation checks.
+    Context types are meets of two canonical types of size at most 4."""
+    res = LawResult("spine-filter")
+    rng = random.Random(seed)
+    pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
+    budget = SearchBudget(max_candidate_type_size=4, max_depth=16)
+    names = ("x", "y", "z")
+    for _ in range(samples):
+        # a meet of two pool types can have two arrow heads
+        ctx = {
+            v: canonical(spec, Inter(rng.choice(pool), rng.choice(pool)))
+            for v in names
+            if rng.random() < 0.7
+        }
+        spine = [rng.choice(names) for _ in range(rng.randint(1, 4))]
+        a = rng.choice(pool)
+
+        filters = [up(ctx[v]) if v in ctx else up() for v in spine]
+        f, m = filters[0], Var(spine[0])
+        for y, g in zip(spine[1:], filters[1:]):
+            f = apply(spec, f, g)
+            m = App(m, Var(y))
+        res.checked += 1
+        v, d = derives(spec, ctx, m, a, budget)
+        want = Verdict.YES if member(spec, f, a) else Verdict.NO
+        if v is not want:
+            res.failures.append((str(m), print_type(a), v.value, want.value))
+        elif v is Verdict.YES and not check_derivation(spec, d):
+            res.failures.append((str(m), print_type(a), "bad-derivation"))
     return res
 
 
@@ -336,4 +386,5 @@ def run_all(spec: TheorySpec, atoms, size: int, seed: int) -> list[LawResult]:
     results.append(fun_recursion_law(spec, atoms, min(size, 4)))
     results.append(fun_phi_law(spec, atoms, size))
     results.append(search_soundness_law(spec, atoms, size, seed))
+    results.append(spine_filter_law(spec, atoms, size, seed))
     return results

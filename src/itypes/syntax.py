@@ -96,21 +96,34 @@ class Inter(Type):
 
 
 def type_size(t: Type) -> int:
-    match t:
-        case Atom():
-            return 1
-        case Arrow(d, c) | Inter(d, c):
-            return 1 + type_size(d) + type_size(c)
-    raise TypeError(t)
+    n = 0
+    todo = [t]  # an explicit stack, so depth is bounded only by memory
+    while todo:
+        t = todo.pop()
+        n += 1
+        if isinstance(t, Arrow):
+            todo += (t.dom, t.cod)
+        elif isinstance(t, Inter):
+            todo += (t.left, t.right)
+        elif not isinstance(t, Atom):
+            raise TypeError(t)
+    return n
 
 
 def type_atoms(t: Type) -> frozenset[str]:
-    match t:
-        case Atom(name):
-            return frozenset({name})
-        case Arrow(d, c) | Inter(d, c):
-            return type_atoms(d) | type_atoms(c)
-    raise TypeError(t)
+    names = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Atom):
+            names.add(t.name)
+        elif isinstance(t, Arrow):
+            todo += (t.dom, t.cod)
+        elif isinstance(t, Inter):
+            todo += (t.left, t.right)
+        else:
+            raise TypeError(t)
+    return frozenset(names)
 
 
 def conjuncts(t: Type) -> list[Type]:
@@ -375,21 +388,31 @@ def print_term(t: Term) -> str:
 def print_type(t: Type) -> str:
     # Grammar: '&' is left-associative and tighter than '->'; '->' is
     # right-associative.  Parenthesize exactly where the tree shape would
-    # otherwise be lost, so parse(print(t)) == t.
-    match t:
-        case Atom(name):
-            return name
-        case Arrow(d, c):
-            ds = print_type(d)
-            if isinstance(d, Arrow):
-                ds = f"({ds})"
-            return f"{ds} -> {print_type(c)}"
-        case Inter(l, r):
-            ls = print_type(l)
-            if isinstance(l, Arrow):
-                ls = f"({ls})"
-            rs = print_type(r)
-            if isinstance(r, (Arrow, Inter)):
-                rs = f"({rs})"
-            return f"{ls} & {rs}"
-    raise TypeError(t)
+    # otherwise be lost, so parse(print(t)) == t.  The walk keeps an explicit
+    # stack of types still to print and literal text, next item last.
+    out = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Atom):
+            out.append(t.name)
+        elif isinstance(t, Arrow):
+            d = t.dom
+            todo += (t.cod, " -> ", *_grouped(d, isinstance(d, Arrow)))
+        elif isinstance(t, Inter):
+            l, r = t.left, t.right
+            todo += (
+                *_grouped(r, isinstance(r, (Arrow, Inter))),
+                " & ",
+                *_grouped(l, isinstance(l, Arrow)),
+            )
+        else:
+            raise TypeError(t)
+    return "".join(out)
+
+
+def _grouped(t: Type, parens: bool) -> tuple:
+    """t for print_type's stack, in parentheses if asked, in stack order."""
+    return (")", t, "(") if parens else (t,)

@@ -16,9 +16,9 @@ from itypes.assign import (
     make_derivation,
 )
 from itypes.errors import UnsupportedTheory
-from itypes.laws import random_judgments
+from itypes.laws import random_judgments, search_soundness_law, spine_filter_law
 from itypes.syntax import Atom, parse_term as T, parse_type as P
-from itypes.theory import BA_RULES, Rule, make_spec
+from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
 
 DELTA = r"\x. x x"
 OMEGA_TERM = rf"({DELTA}) ({DELTA})"
@@ -178,9 +178,85 @@ def test_invalid_spec_raises_before_search():
         infer_types(spec, {}, T("x"), 3, {"a"})
 
 
+def test_cached_alpha_variant_derivation_checks(ba):
+    # \y. y and \z. z share a cache entry; the YES must still check for z
+    ctx = {"x": P("b -> a")}
+    v, d = derives(ba, ctx, T(r"(\z. z) ((\y. y) x)"), P("b -> a"), SearchBudget(4, 16))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+
+
 def test_search_results_check_out_on_random_corpus(bcd):
     for ctx, m, a, d in random_judgments(bcd, {"a", "b"}, seed=7, count=15):
         assert check_derivation(bcd, d)
+
+
+# ---------------------------------------------------------------- spine inversion
+
+
+@pytest.mark.parametrize(
+    "ctx, term, ty",
+    [
+        ({"x": "a -> b", "y": "a"}, "x y", "c"),
+        ({"x": "(a -> b) & (c -> a)", "y": "c"}, "x (x (x y))", "b"),
+    ],
+)
+def test_variable_spine_refuted_exactly(ctx, term, ty):
+    # the types of x N1 ... Nk are those of iterated filter application, so
+    # the default budget settles both; the candidate pool never could
+    ba3 = named_theory(NamedTheory.BA, 3)
+    ctx = {x: P(t) for x, t in ctx.items()}
+    assert derives(ba3, ctx, T(term), P(ty))[0] is Verdict.NO
+
+
+def test_variable_spine_yes_without_pool(ba):
+    tiny = SearchBudget(max_candidate_type_size=1, max_depth=8)
+    ctx = {"x": P("(a -> b) -> b"), "y": P("a -> b")}
+    v, d = derives(ba, ctx, T("x y"), P("b"), tiny)
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+
+
+def test_variable_spine_unsettled_argument_is_no_refutation(ba):
+    # under the tiny pool the redex argument stays UNKNOWN, so its head is
+    # dropped; the spine then proves nothing, and that is not a NO
+    ctx = {"x": P("(a -> a) -> b"), "z": P("a -> a")}
+    m = T(r"x ((\y. y) z)")
+    tiny = SearchBudget(max_candidate_type_size=1, max_depth=8)
+    assert derives(ba, ctx, m, P("b"), tiny)[0] is Verdict.UNKNOWN
+    v, d = derives(ba, ctx, m, P("b"))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+
+
+def test_variable_spine_through_equated_atom():
+    spec = make_spec({"a", "b", "c"}, BA_RULES, {"c": P("a -> b -> a")})
+    ctx = {"x": P("c"), "y": P("a"), "z": P("b")}
+    v, d = derives(spec, ctx, T("x y z"), P("a"))
+    assert v is Verdict.YES
+    assert check_derivation(spec, d)
+    assert derives(spec, ctx, T("x z y"), P("a"))[0] is Verdict.NO
+    assert derives(spec, ctx, T("x y z"), P("b"))[0] is Verdict.NO
+
+
+@pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
+def test_spine_filter_law(all_theories, name):
+    res = spine_filter_law(all_theories[name], {"a", "b"}, 4, seed=3)
+    assert res.ok, res.failures
+    assert res.checked == 200
+
+
+def test_spine_filter_law_with_equation():
+    spec = make_spec({"a", "b", "c"}, BA_RULES, {"c": P("a -> b -> a")})
+    res = spine_filter_law(spec, {"a", "b", "c"}, 4, seed=5)
+    assert res.ok, res.failures
+
+
+def test_search_soundness_law_checks_no_verdicts(ba):
+    res = search_soundness_law(ba, {"a", "b"}, 4, seed=0)
+    assert res.ok, res.failures
+    # the Yes corpus plus every No met while drawing it
+    assert res.checked > len(random_judgments(ba, {"a", "b"}, seed=0, count=25))
 
 
 # ---------------------------------------------------------------- inference

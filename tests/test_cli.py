@@ -87,6 +87,14 @@ def test_check_unknown_exit_three(capsys):
     assert out.strip() == "unknown"
 
 
+def test_check_variable_spine_no(capsys):
+    code, out, _ = run(
+        capsys, "check", "--theory", "ba", "--atoms", "3", "x: a -> b, y: a", "x y", "c"
+    )
+    assert code == 1
+    assert out.strip() == "no"
+
+
 def test_check_json_derivation_roundtrips(capsys):
     from itypes.assign import check_derivation, derivation_from_json
 

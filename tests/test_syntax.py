@@ -131,6 +131,19 @@ def test_type_size_counts_nodes(t):
     assert type_atoms(t) <= {"a", "b"}
 
 
+def test_deep_constructed_types_print_and_measure():
+    # built with the constructors, so the parser's nesting limit is no guard
+    n = 5000
+    left, right = Atom("a"), Atom("a")
+    for _ in range(n):
+        left = Arrow(left, Atom("b"))
+        right = Inter(Atom("b"), right)
+    assert print_type(left) == "(" * (n - 1) + "a -> b" + ") -> b" * (n - 1)
+    assert print_type(right) == "b & (" * (n - 1) + "b & a" + ")" * (n - 1)
+    assert type_size(left) == type_size(right) == 2 * n + 1
+    assert type_atoms(left) == type_atoms(right) == {"a", "b"}
+
+
 # ---------------------------------------------------------------- terms
 
 
