@@ -21,7 +21,6 @@ from .assign import (
 from .classify import adequacy_report
 from .errors import ItypesError
 from .filters import FiniteFilter, interpret_member
-from .laws import run_all
 from .subtype import leq_trace, proof_to_json
 from .syntax import parse_term, parse_type, print_type
 from .theory import NamedTheory, load_spec, named_theory
@@ -128,6 +127,8 @@ def _cmd_classify(args, spec, budget) -> int:
 
 
 def _cmd_laws(args, spec, budget) -> int:
+    from .laws import run_all  # only this command pays for importing the laws
+
     plain = sorted(a for a in spec.atoms if a not in ("omega", "nu"))
     atoms = frozenset(plain[:2])
     results = run_all(spec, atoms, args.size, args.seed)

@@ -6,17 +6,20 @@ conjuncts, atom-equation expansions, and the omega->omega contributions of
 the omega-eta / omega-lazy axioms).  It builds no proof; its decisions are
 memoised in the theory's tables.  ``leq_trace`` decides first and gives every
 positive answer a proof trace: a tree of primitive rule applications that
-``check_proof`` can verify without trusting the algorithm.
+``check_proof`` can verify without trusting the algorithm.  Proof nodes are
+immutable tuples; the arrow heads of a type come with their proofs from the
+theory's ``head_proofs`` table, so traces share those subproofs.
+``check_proof`` checks one rule instance per node on an explicit stack.
 
 ``leq_oracle`` is the independent safety net: it saturates the subtype
-relation over a finite universe of types and answers from the closure.
+relation over a finite universe of types and answers from the closure, which
+is kept with the theory (``TheorySpec.relation``) without validating it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
 
 from .errors import ResourceLimit
 from .syntax import (
@@ -35,14 +38,15 @@ from .theory import TABLE_CAP, Rule, TheorySpec
 # ---------------------------------------------------------------- proofs
 
 
-@dataclass(frozen=True)
-class Proof:
-    """One node of an inequational derivation: ``lhs <= rhs`` by ``rule``."""
+class Proof(namedtuple("Proof", "rule lhs rhs premises", defaults=((),))):
+    """One node of an inequational derivation: ``lhs <= rhs`` by ``rule``.
 
-    rule: str
-    lhs: Type
-    rhs: Type
-    premises: tuple["Proof", ...] = ()
+    A light immutable tuple node, as one trace can have thousands: fields
+    ``rule, lhs, rhs, premises`` in that order, equality and hashing by
+    value, and an ``AttributeError`` on assignment.  Nodes are shared
+    freely, within a trace and across traces of one theory."""
+
+    __slots__ = ()
 
 
 def _refl(a):
@@ -66,83 +70,84 @@ def _eta(pdom, pcod):
     return Proof("eta", Arrow(pdom.rhs, pcod.lhs), Arrow(pdom.lhs, pcod.rhs), (pdom, pcod))
 
 
-def check_proof(spec: TheorySpec, p: Proof) -> bool:
-    """Verify that every node is a correct instance of a primitive rule."""
-    rules = spec.rules
-    match p.rule:
+_OMEGA = Atom(OMEGA)
+_OMEGA_ARROW = Arrow(_OMEGA, _OMEGA)
+
+
+def _axiom_ok(spec: TheorySpec, special, rule, lhs, rhs) -> bool:
+    """Whether ``lhs <= rhs`` is an instance of the premise-free ``rule``;
+    ``special`` names the special rules of the theory."""
+    match rule:
+        case "omega-top":
+            return "omega-top" in special and rhs == _OMEGA
         case "refl":
-            return p.lhs == p.rhs and not p.premises
-        case "trans":
-            if len(p.premises) != 2:
-                return False
-            q, r = p.premises
-            return (
-                q.lhs == p.lhs and q.rhs == r.lhs and r.rhs == p.rhs
-                and check_proof(spec, q) and check_proof(spec, r)
-            )
+            return lhs == rhs
         case "idem":
-            return p.rhs == Inter(p.lhs, p.lhs) and not p.premises
+            return rhs == Inter(lhs, lhs)
         case "incl-l":
-            return isinstance(p.lhs, Inter) and p.lhs.left == p.rhs and not p.premises
+            return isinstance(lhs, Inter) and lhs.left == rhs
         case "incl-r":
-            return isinstance(p.lhs, Inter) and p.lhs.right == p.rhs and not p.premises
-        case "mon":
-            if len(p.premises) != 2 or not isinstance(p.lhs, Inter) or not isinstance(p.rhs, Inter):
-                return False
-            q, r = p.premises
+            return isinstance(lhs, Inter) and lhs.right == rhs
+        case "omega-eta":
+            return "omega-eta" in special and lhs == _OMEGA and rhs == _OMEGA_ARROW
+        case "omega-lazy":
             return (
-                q.lhs == p.lhs.left and r.lhs == p.lhs.right
-                and q.rhs == p.rhs.left and r.rhs == p.rhs.right
-                and check_proof(spec, q) and check_proof(spec, r)
-            )
-        case "eta":
-            if Rule.ETA not in rules or len(p.premises) != 2:
-                return False
-            if not isinstance(p.lhs, Arrow) or not isinstance(p.rhs, Arrow):
-                return False
-            pdom, pcod = p.premises
-            return (
-                pdom.lhs == p.rhs.dom and pdom.rhs == p.lhs.dom
-                and pcod.lhs == p.lhs.cod and pcod.rhs == p.rhs.cod
-                and check_proof(spec, pdom) and check_proof(spec, pcod)
+                "omega-lazy" in special and isinstance(lhs, Arrow)
+                and rhs == _OMEGA_ARROW
             )
         case "arrow-inter":
-            if Rule.ARROW_INTER not in rules or p.premises:
+            if "arrow-inter" not in special:
                 return False
-            match p.lhs, p.rhs:
+            match lhs, rhs:
                 case Inter(Arrow(a1, b), Arrow(a2, c)), Arrow(a3, Inter(b2, c2)):
                     return a1 == a2 == a3 and b == b2 and c == c2
             return False
-        case "omega-top":
-            return Rule.OMEGA_TOP in rules and p.rhs == Atom(OMEGA) and not p.premises
         case "nu-top":
-            return (
-                Rule.NU_TOP in rules and isinstance(p.lhs, Arrow)
-                and p.rhs == Atom(NU) and not p.premises
-            )
-        case "omega-eta":
-            omega = Atom(OMEGA)
-            return (
-                Rule.OMEGA_ETA in rules and p.lhs == omega
-                and p.rhs == Arrow(omega, omega) and not p.premises
-            )
-        case "omega-lazy":
-            omega = Atom(OMEGA)
-            return (
-                Rule.OMEGA_LAZY in rules and isinstance(p.lhs, Arrow)
-                and p.rhs == Arrow(omega, omega) and not p.premises
-            )
+            return "nu-top" in special and isinstance(lhs, Arrow) and rhs == Atom(NU)
         case "eq-unfold":
-            return (
-                isinstance(p.lhs, Atom)
-                and spec.equation_for(p.lhs.name) == p.rhs and not p.premises
-            )
+            return isinstance(lhs, Atom) and spec.equation_for(lhs.name) == rhs
         case "eq-fold":
-            return (
-                isinstance(p.rhs, Atom)
-                and spec.equation_for(p.rhs.name) == p.lhs and not p.premises
-            )
+            return isinstance(rhs, Atom) and spec.equation_for(rhs.name) == lhs
     return False
+
+
+def check_proof(spec: TheorySpec, p: Proof) -> bool:
+    """Verify that every node is a correct instance of a primitive rule the
+    theory has.  The walk keeps an explicit stack, so a proof's depth is
+    bounded only by memory."""
+    special = spec.rule_names
+    todo = [p]
+    while todo:
+        rule, lhs, rhs, premises = todo.pop()
+        if not premises:
+            if not _axiom_ok(spec, special, rule, lhs, rhs):
+                return False
+            continue
+        # trans, mon and eta take two premises; every other rule none
+        if len(premises) != 2:
+            return False
+        q, r = premises
+        if rule == "trans":
+            ok = q.lhs == lhs and q.rhs == r.lhs and r.rhs == rhs
+        elif rule == "mon":
+            ok = (
+                isinstance(lhs, Inter) and isinstance(rhs, Inter)
+                and q.lhs == lhs.left and r.lhs == lhs.right
+                and q.rhs == rhs.left and r.rhs == rhs.right
+            )
+        elif rule == "eta":
+            # contravariant in the domain: q proves rhs.dom <= lhs.dom
+            ok = (
+                "eta" in special and isinstance(lhs, Arrow) and isinstance(rhs, Arrow)
+                and q.lhs == rhs.dom and q.rhs == lhs.dom
+                and r.lhs == lhs.cod and r.rhs == rhs.cod
+            )
+        else:
+            return False
+        if not ok:
+            return False
+        todo += (r, q)  # the left premise first
+    return True
 
 
 def proof_to_json(p: Proof) -> dict:
@@ -157,33 +162,20 @@ def proof_to_json(p: Proof) -> dict:
 # --------------------------------------------------------- proof combinators
 
 
-def _conjuncts_with_paths(t: Type):
-    """All non-intersection leaves of t, with the incl-projection path."""
-    out = []
-
-    def go(t, path):
+def _projections(t: Type):
+    """The non-intersection leaves of t, left to right, each with its proof
+    of t <= leaf by a chain of incl projections.  Made lazily on an explicit
+    stack, one projection per intersection node passed."""
+    todo = [(t, _refl(t))]
+    while todo:
+        t, p = todo.pop()
         if isinstance(t, Inter):
-            go(t.left, path + ("l",))
-            go(t.right, path + ("r",))
+            todo += (
+                (t.right, _trans(p, Proof("incl-r", t, t.right))),
+                (t.left, _trans(p, Proof("incl-l", t, t.left))),
+            )
         else:
-            out.append((path, t))
-
-    go(t, ())
-    return out
-
-
-def _project(t: Type, path) -> Proof:
-    """t <= (conjunct of t at path), by a chain of incl projections."""
-    proof = _refl(t)
-    cur = t
-    for step in path:
-        if step == "l":
-            proof = _trans(proof, Proof("incl-l", cur, cur.left))
-            cur = cur.left
-        else:
-            proof = _trans(proof, Proof("incl-r", cur, cur.right))
-            cur = cur.right
-    return proof
+            yield t, p
 
 
 def _leq_parts(a: Type, proofs) -> Proof:
@@ -218,9 +210,6 @@ def _arrow_family(t: Type) -> Proof:
 
 
 # ---------------------------------------------------------------- leq
-
-_OMEGA = Atom(OMEGA)
-_OMEGA_ARROW = Arrow(_OMEGA, _OMEGA)
 
 
 def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
@@ -288,34 +277,43 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
-class _Head:
-    arrow: Arrow
-    proof: Proof  # a <= arrow
+class _Head(namedtuple("_Head", "arrow proof")):
+    """An arrow head with its proof of a <= arrow."""
+
+    __slots__ = ()
 
 
-def _head_proofs(spec: TheorySpec, a: Type) -> list[_Head]:
-    """``arrow_heads`` with a proof of a <= head for each."""
-    heads = []
-    for path, leaf in _conjuncts_with_paths(a):
+def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
+    """``arrow_heads`` with a proof of a <= head for each.  Memoised in the
+    theory's tables."""
+    table = spec.tables.head_proofs
+    heads = table.get(a)
+    if heads is not None:
+        return heads
+    found = []
+    for leaf, proof in _projections(a):
         if isinstance(leaf, Arrow):
-            heads.append(_Head(leaf, _project(a, path)))
+            found.append(_Head(leaf, proof))
         elif isinstance(leaf, Atom):
             rhs = spec.equation_for(leaf.name)
             if rhs is not None:
-                base = _trans(_project(a, path), Proof("eq-unfold", leaf, rhs))
-                for qpath, arr in _conjuncts_with_paths(rhs):
-                    heads.append(_Head(arr, _trans(base, _project(rhs, qpath))))
+                base = _trans(proof, Proof("eq-unfold", leaf, rhs))
+                for arr, q in _projections(rhs):
+                    found.append(_Head(arr, _trans(base, q)))
     omega, oo = _OMEGA, _OMEGA_ARROW
     if Rule.OMEGA_ETA in spec.rules:
-        heads.append(
+        found.append(
             _Head(oo, _trans(Proof("omega-top", a, omega), Proof("omega-eta", omega, oo)))
         )
-    elif Rule.OMEGA_LAZY in spec.rules and heads:
-        first = heads[0]
-        heads.append(
+    elif Rule.OMEGA_LAZY in spec.rules and found:
+        first = found[0]
+        found.append(
             _Head(oo, _trans(first.proof, Proof("omega-lazy", first.arrow, oo)))
         )
+    heads = tuple(found)
+    if len(table) >= TABLE_CAP:
+        table.clear()
+    table[a] = heads
     return heads
 
 
@@ -341,9 +339,9 @@ def _build_uncached(spec, a, b, memo):
     if isinstance(b, Atom):
         if spec.has_omega and b.name == OMEGA:
             return Proof("omega-top", a, b)
-        for path, leaf in _conjuncts_with_paths(a):
+        for leaf, proof in _projections(a):
             if leaf is b:
-                return _project(a, path)
+                return proof
         if spec.has_nu and b.name == NU:
             h = _head_proofs(spec, a)[0]
             return _trans(h.proof, Proof("nu-top", h.arrow, b))
@@ -488,8 +486,13 @@ def _universe_atoms(spec: TheorySpec, extra) -> frozenset[str]:
     return frozenset(atoms)
 
 
-@lru_cache(maxsize=32)
 def _closure(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
+    """The saturated relation over the universe, kept with the theory."""
+    key = ("oracle", atoms, bound, cap)
+    return spec.relation(key, lambda: _saturate(spec, atoms, bound, cap))
+
+
+def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
     universe = enumerate_types(atoms, bound)
     if len(universe) > cap:
         raise ResourceLimit(

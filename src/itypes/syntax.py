@@ -127,10 +127,19 @@ def type_atoms(t: Type) -> frozenset[str]:
 
 
 def conjuncts(t: Type) -> list[Type]:
-    """Flatten a binary intersection tree into its non-intersection leaves."""
-    if isinstance(t, Inter):
-        return conjuncts(t.left) + conjuncts(t.right)
-    return [t]
+    """Flatten a binary intersection tree into its non-intersection leaves,
+    left to right."""
+    if not isinstance(t, Inter):
+        return [t]
+    out = []
+    todo = [t]  # an explicit stack, so depth is bounded only by memory
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Inter):
+            todo += (t.right, t.left)
+        else:
+            out.append(t)
+    return out
 
 
 def inter_of(parts) -> Type:

@@ -51,23 +51,29 @@ class NamedTheory(enum.Enum):
 # bounds the memory a long-running process spends on one theory.
 TABLE_CAP = 1 << 18
 
+# Whole relations over a finite universe kept per theory (oracle closures,
+# leq matrices).  One can hold megabytes, so past this many the oldest goes.
+RELATION_CAP = 8
+
 
 class TheoryTables:
     """Memo tables of one theory, filled by the subtype decision and by
     normalisation.
 
     ``leq`` maps a pair ``(a, b)`` of types to the decision of ``a <= b``;
-    ``heads`` maps a type to its arrow heads; ``canon`` maps a type to its
-    canonical conjuncts; ``pools`` maps ``(frozenset(atoms), max_size)`` to
-    the canonical types of that universe.  Types are hash-consed, so the
-    tables key on node identity.
+    ``heads`` maps a type to its arrow heads, and ``head_proofs`` to those
+    heads with their proofs; ``canon`` maps a type to its canonical
+    conjuncts; ``pools`` maps ``(frozenset(atoms), max_size)`` to the
+    canonical types of that universe.  Types are hash-consed, so the tables
+    key on node identity.
     """
 
-    __slots__ = ("leq", "heads", "canon", "pools")
+    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools")
 
     def __init__(self):
         self.leq: dict[tuple[Type, Type], bool] = {}
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
+        self.head_proofs: dict[Type, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}
         self.pools: dict[tuple[frozenset[str], int], tuple[Type, ...]] = {}
 
@@ -107,6 +113,29 @@ class TheorySpec:
                 "the subtype decision procedure needs the arrow-inter and eta rules"
             )
         return TheoryTables()
+
+    @cached_property
+    def rule_names(self) -> frozenset[str]:
+        """The values of ``rules``, as proof traces name the rules.  Testing
+        a string avoids the Python-level ``Enum.__hash__``."""
+        return frozenset(r.value for r in self.rules)
+
+    @cached_property
+    def _relations(self) -> dict:
+        return {}
+
+    def relation(self, key, make):
+        """``make()``, kept with this theory under ``key`` for later calls;
+        past ``RELATION_CAP`` entries the oldest is dropped.  Nothing is
+        validated, so the saturation oracle can use it on any spec."""
+        table = self._relations
+        value = table.get(key)
+        if value is None:
+            value = make()
+            if len(table) >= RELATION_CAP:
+                del table[next(iter(table))]
+            table[key] = value
+        return value
 
 
 def make_spec(atoms, rules, equations=None, name=None) -> TheorySpec:

@@ -15,6 +15,7 @@ from itypes.filters import (
     prop_simple_check,
     up,
 )
+from itypes.laws import filter_laws
 from itypes.subtype import eq
 from itypes.syntax import parse_term as T, parse_type as P
 
@@ -98,6 +99,17 @@ def test_apply_uses_domain_weakening(ehr):
 def test_prop_simple_instances(all_theories, theory, x, a, b):
     spec = all_theories[theory]
     assert prop_simple_check(spec, up(P(x)), P(a), P(b))
+
+
+def test_filter_laws_check_a_fixed_number_of_instances(bcd):
+    # pins the work of each law, so that reshaping its loops keeps it
+    results = filter_laws(bcd, {"a", "b"}, 4)
+    assert [(r.name, r.checked, r.ok) for r in results] == [
+        ("filter-upward-closure", 289, True),
+        ("filter-inter-closure", 361, True),
+        ("prop-simple", 2197, True),
+        ("apply-monotone", 938, True),
+    ]
 
 
 # ---------------------------------------------------------------- abstraction map

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
 from itypes import subtype
 from itypes.errors import ResourceLimit, UnsupportedTheory
+from itypes.laws import preorder_laws
 from itypes.subtype import (
     OracleResult,
     Proof,
@@ -22,7 +25,7 @@ from itypes.subtype import (
     normalize,
     proof_to_json,
 )
-from itypes.syntax import Arrow, Atom, Inter, parse_type as P, print_type
+from itypes.syntax import Arrow, Atom, Inter, conjuncts, parse_type as P, print_type
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
 
 
@@ -124,6 +127,7 @@ def test_memo_tables_are_cleared_at_cap(monkeypatch):
     def answers(spec):
         return (
             [[leq(spec, a, b) for b in types] for a in types],
+            [[leq_trace(spec, a, b) for b in types] for a in types],
             [canonical(spec, t) for t in types],
             [canonical_types(spec, atoms, size) for atoms, size in universes],
         )
@@ -133,7 +137,7 @@ def test_memo_tables_are_cleared_at_cap(monkeypatch):
     capped = named_theory(NamedTheory.BCD, 2)  # a new spec has new tables
     assert answers(capped) == want
     tables = capped.tables
-    for table in (tables.leq, tables.heads, tables.canon, tables.pools):
+    for table in (tables.leq, tables.heads, tables.head_proofs, tables.canon, tables.pools):
         assert 0 < len(table) <= 8
 
 
@@ -205,6 +209,47 @@ def test_checker_rejects_bad_transitivity(ba):
     a, b = P("a"), P("b")
     bad = Proof("trans", a, b, (Proof("refl", a, a), Proof("refl", b, b)))
     assert not check_proof(ba, bad)
+
+
+def test_proof_nodes_are_values():
+    a, b = P("a"), P("a & b")
+    p = Proof(rule="incl-l", lhs=b, rhs=a)
+    assert p == Proof("incl-l", b, a, ())
+    assert hash(p) == hash(Proof("incl-l", b, a))
+    assert p.premises == ()
+    assert (p.rule, p.lhs, p.rhs) == ("incl-l", b, a)
+    assert p != Proof("incl-r", b, a)
+    assert {p, Proof("incl-l", b, a)} == {p}
+    with pytest.raises(AttributeError):
+        p.rule = "refl"
+    with pytest.raises(AttributeError):
+        p.extra = 1
+
+
+def test_deep_intersection_on_the_left(ba):
+    a = Atom("a")
+    t = a
+    for _ in range(5000):
+        t = Inter(Atom("b"), t)
+    assert len(conjuncts(t)) == 5001
+    assert leq(ba, t, a)
+    p = leq_trace(ba, t, a)
+    assert p.lhs is t and p.rhs is a
+    assert check_proof(ba, p)
+
+
+def test_checker_walks_deep_transitivity_chains(ba):
+    a = Atom("a")
+
+    def chain(bottom):
+        p = bottom
+        for _ in range(5000):
+            p = Proof("trans", a, a, (p, Proof("refl", a, a)))
+        return p
+
+    assert check_proof(ba, chain(Proof("refl", a, a)))
+    # links up with its parent but is no instance of incl-l
+    assert not check_proof(ba, chain(Proof("incl-l", a, a)))
 
 
 # ---------------------------------------------------------------- normal forms
@@ -290,6 +335,17 @@ def test_oracle_not_found_is_not_a_refutation(bcd):
 def test_oracle_respects_universe_cap(bcd):
     with pytest.raises(ResourceLimit):
         leq_oracle(bcd, P("a"), P("b"), 9, cap=100)
+
+
+def test_dropped_theory_is_freed():
+    # no module-global cache may keep a theory and its tables alive
+    spec = named_theory(NamedTheory.BCD, 2)
+    assert all(r.ok for r in preorder_laws(spec, {"a", "b"}, 3))
+    assert leq_oracle(spec, P("a & b"), P("b & a"), 3) is OracleResult.YES
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 def test_oracle_finds_nu_top(ehr):
