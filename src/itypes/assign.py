@@ -4,10 +4,13 @@ The search follows the shape of the judgment's subject.  Variables are decided
 exactly; abstractions are decomposed conjunct by conjunct.  An application
 ``x N1 ... Nk`` with a variable head is inverted exactly: its types are the
 upward closure of iterated filter application (generation lemma plus
-beta-soundness), so only the arguments need searching.  Other applications
-search an argument type over a finite candidate pool.  Typability subsumes
-normalization questions, so the search is honest about its limits: ``UNKNOWN``
-is a first-class verdict and ``NO`` is only produced by exact refutations.
+beta-soundness), so only the arguments need searching.  An application
+``(\\x. M) N P1 ... Pk`` headed by an abstraction is decided through its head
+contractum ``M[x := N] P1 ... Pk``: subject reduction carries a NO back, and
+subject expansion turns the contractum's derivation into the redex's.
+Typability subsumes normalization questions, so the search is honest about
+its limits: ``UNKNOWN`` is a first-class verdict and ``NO`` is only produced
+by exact refutations.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import ResourceLimit, UnsupportedTheory
+from .errors import ResourceLimit, UnknownAtomError, UnsupportedTheory
 from .syntax import (
     App,
     Arrow,
@@ -29,6 +32,7 @@ from .syntax import (
     Var,
     canonical_term,
     conjuncts,
+    contract_head,
     free_vars,
     inter_of,
     parse_term,
@@ -39,7 +43,7 @@ from .syntax import (
     type_size,
 )
 from .subtype import arrow_heads, canonical, canonical_types, leq, normalize
-from .theory import TheorySpec, validate, validates_ba
+from .theory import TABLE_CAP, TheorySpec, validate, validates_ba
 
 Basis = dict[str, Type]
 
@@ -52,6 +56,17 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Bounds of one search.
+
+    ``max_depth`` bounds the nesting of search steps: each abstraction
+    body, application argument and head contraction takes one level.
+    ``max_candidate_type_size`` bounds only the candidate types tried for
+    an argument that a contractum drops in a theory without omega (see
+    ``_Search._dropped_argument``); no other step of ``derives`` or
+    ``infer_types`` reads it.  A search that nests deeper than the
+    interpreter's recursion limit allows ends UNKNOWN, as one that reaches
+    ``max_depth`` does."""
+
     max_candidate_type_size: int = 6
     max_depth: int = 64
 
@@ -165,26 +180,47 @@ def derivation_error(spec: TheorySpec, d: Derivation):
 # ---------------------------------------------------------------- search
 
 
-def _via_leq(spec, ctx, term, got: Derivation, want: Type) -> Derivation:
+def _via_leq(ctx, term, got: Derivation, want: Type) -> Derivation:
     if got.type == want:
         return got
     return make_derivation("Leq", ctx, term, want, (got,), (got.type, want))
 
 
-def _retarget(d: Derivation, ctx: Basis, m: Term) -> Derivation:
+def _retarget(d: Derivation, ctx: Basis, m: Term, hole=None) -> Derivation:
     """d rebuilt for m, an alpha-variant of d.term, under ctx.  The verdict
     cache is keyed up to alpha-equivalence, so a hit can carry the tree of
-    another variant, whose binders the checker would not accept for m."""
+    another variant, whose binders the checker would not accept for m.
+
+    With ``hole = (x, b)``, d derives m[x := N] instead, and each free x of
+    m becomes ``Ax x: b`` weakened to the type d gives that copy of N."""
+    if hole is not None and isinstance(m, Var) and m.name == hole[0]:
+        return _via_leq(ctx, m, make_derivation("Ax", ctx, m, hole[1]), d.type)
     match d.rule:
         case "ArrowI":
             (body,) = d.premises
-            premises = (_retarget(body, {**ctx, m.binder: d.type.dom}, m.body),)
+            if hole is not None and m.binder == hole[0]:
+                hole = None  # shadowed
+            inner = {**ctx, m.binder: d.type.dom}
+            premises = (_retarget(body, inner, m.body, hole),)
         case "ArrowE":
             fun, arg = d.premises
-            premises = (_retarget(fun, ctx, m.fun), _retarget(arg, ctx, m.arg))
+            premises = (
+                _retarget(fun, ctx, m.fun, hole),
+                _retarget(arg, ctx, m.arg, hole),
+            )
         case _:  # the other rules keep the subject term
-            premises = tuple(_retarget(p, ctx, m) for p in d.premises)
+            premises = tuple(_retarget(p, ctx, m, hole) for p in d.premises)
     return make_derivation(d.rule, ctx, m, d.type, premises, d.leq_pair)
+
+
+def _spine(m: Term) -> tuple[Term, list[App]]:
+    """The head of m and the applications of its spine, innermost first."""
+    apps = []
+    while isinstance(m, App):
+        apps.append(m)
+        m = m.fun
+    apps.reverse()
+    return m, apps
 
 
 class _Search:
@@ -202,7 +238,12 @@ class _Search:
         self.terms: dict[int, tuple[Term, Term]] = {}  # id(m) -> (m, canonical)
 
     def run(self, ctx: Basis, m: Term, a: Type) -> tuple[Verdict, Derivation | None]:
-        return self._derive(dict(ctx), m, a, self.budget.max_depth)
+        try:
+            return self._derive(dict(ctx), m, a, self.budget.max_depth)
+        except RecursionError:
+            # the interpreter's stack bounds the search as max_depth does;
+            # nothing is cached before its subsearches return
+            return Verdict.UNKNOWN, None
 
     def _key(self, ctx, m, a):
         # a judgment's subterms are fixed, so each is renamed once; the entry
@@ -232,16 +273,16 @@ class _Search:
         omega = Atom(OMEGA)
         if spec.has_omega and leq(spec, omega, a):
             d = make_derivation("AxOmega", ctx, m, omega)
-            return Verdict.YES, _via_leq(spec, ctx, m, d, a)
+            return Verdict.YES, _via_leq(ctx, m, d, a)
         if spec.has_nu and isinstance(m, Lam) and leq(spec, Atom(NU), a):
             d = make_derivation("AxNu", ctx, m, Atom(NU))
-            return Verdict.YES, _via_leq(spec, ctx, m, d, a)
+            return Verdict.YES, _via_leq(ctx, m, d, a)
 
         match m:
             case Var(x):
                 if x in ctx and leq(spec, ctx[x], a):
                     d = make_derivation("Ax", ctx, m, ctx[x])
-                    return Verdict.YES, _via_leq(spec, ctx, m, d, a)
+                    return Verdict.YES, _via_leq(ctx, m, d, a)
                 return Verdict.NO, None
             case Lam():
                 return self._derive_lam(ctx, m, a, depth)
@@ -272,7 +313,7 @@ class _Search:
         if any(v is Verdict.UNKNOWN for _, v, _ in results):
             return Verdict.UNKNOWN, None
         d = self._inter_intro(ctx, m, [(t, d) for t, _, d in results])
-        return Verdict.YES, _via_leq(spec, ctx, m, d, a)
+        return Verdict.YES, _via_leq(ctx, m, d, a)
 
     def _lam_arrow(self, ctx, m, arrow, depth):
         inner = dict(ctx)
@@ -292,7 +333,7 @@ class _Search:
                 return v, None
             parts.append((arrow, d))
         d = self._inter_intro(ctx, m, parts)
-        return Verdict.YES, _via_leq(spec, ctx, m, d, Atom(atom_name))
+        return Verdict.YES, _via_leq(ctx, m, d, Atom(atom_name))
 
     def _inter_intro(self, ctx, m, parts):
         """Combine per-conjunct derivations with InterI, right-nested."""
@@ -304,29 +345,127 @@ class _Search:
             "InterI", ctx, m, Inter(head_t, rest_d.type), (head_d, rest_d)
         )
 
-    # -- application: exact spine inversion for a variable head, otherwise a
-    #    candidate-pool search for the argument type
+    # -- application: exact spine inversion for a variable head, contraction
+    #    of the head redex for an abstraction head
 
     def _derive_app(self, ctx, m, a, depth):
-        spine = []
-        head = m
-        while isinstance(head, App):
-            spine.append(head)
-            head = head.fun
+        head, apps = _spine(m)
         if isinstance(head, Var):
-            v, d = self._invert_spine(ctx, head, spine[::-1], a, depth)
-            if v is not Verdict.UNKNOWN:
-                return v, d
-        # the pool can only add a YES: its exhaustion is no refutation
+            return self._invert_spine(ctx, head, apps, a, depth)
+        return self._contract(ctx, apps, a, depth)
+
+    def _contract(self, ctx, apps, a, depth):
+        """Decide (\\x. M) N P1 ... Pk : a through its head contractum
+        M[x := N] P1 ... Pk, searched at depth - 1.
+
+        Subject reduction holds in every theory the search accepts, since
+        leq's head selection is beta-soundness: a refuted contractum
+        refutes the redex, and an unsettled one leaves it unsettled.  A YES
+        is carried back to the redex by subject expansion.  A contractum
+        headed by a redex again would only be contracted in turn, so the
+        chain of head contractions is followed on a loop, and only its end
+        is searched: the stack does not grow with the chain."""
+        chain = []  # each redex spine passed, with its depth
+        while True:
+            chain.append((apps, depth))
+            m, depth = contract_head(apps[-1]), depth - 1
+            head, apps = _spine(m)
+            if not (apps and isinstance(head, Lam)) or depth <= 0:
+                break
+        v, d = self._derive(ctx, m, a, depth)
+        if v is Verdict.YES:
+            for apps, depth in reversed(chain):
+                d = self._expand_spine(ctx, apps, len(apps) - 1, d, a, depth)
+                if d is None:
+                    return Verdict.UNKNOWN, None
+        return v, d
+
+    def _expand_spine(self, ctx, apps, i, d, a, depth):
+        """d, a derivation of the contractum of apps[i], rebuilt for apps[i];
+        None when no type for the redex's argument is found."""
+        m = apps[i]
+        if d.rule == "AxOmega":
+            return make_derivation("AxOmega", ctx, m, d.type)
+        if i == 0:
+            return self._expand_redex(ctx, m, d, a, depth)
+        if d.rule == "ArrowE":
+            fun, arg = d.premises
+            premises = (self._expand_spine(ctx, apps, i - 1, fun, a, depth), arg)
+        else:  # Leq and InterI keep the subject term
+            premises = tuple(
+                self._expand_spine(ctx, apps, i, p, a, depth) for p in d.premises
+            )
+        if any(p is None for p in premises):
+            return None
+        return make_derivation(d.rule, ctx, m, d.type, premises, d.leq_pair)
+
+    def _expand_redex(self, ctx, redex, d, a, depth):
+        """Subject expansion: from d, a derivation of M[x := N] : T, one of
+        (\\x. M) N : T.
+
+        Walking d in step with M finds the copies of N that d types, at
+        T_1, ..., T_n.  With B their meet, each becomes ``Ax x: B`` plus
+        ``Leq(B <= T_i)``, and N : B is the InterI of the copies'
+        derivations, rebuilt under ctx: the substitution renamed M's
+        binders apart from N's free variables.  When d types no copy, B is
+        omega, the type of N as a bound variable, nu for an abstraction N,
+        or else the first candidate type the search proves for N at
+        depth - 1 (the judgment's target a seeds the candidates); failing
+        all of these, None."""
+        spec = self.spec
+        lam, n = redex.fun, redex.arg
+        x = lam.binder
+        copies = {}  # T_i -> a derivation of that copy of N : T_i
+        todo = [(d, lam.body)]
+        while todo:
+            e, t = todo.pop()
+            if isinstance(t, Var) and t.name == x:
+                copies.setdefault(e.type, e)
+            elif e.rule == "ArrowI":
+                if t.binder != x:  # a shadowing binder hides every copy
+                    todo.append((e.premises[0], t.body))
+            elif e.rule == "ArrowE":
+                todo += ((e.premises[1], t.arg), (e.premises[0], t.fun))
+            else:
+                todo += ((p, t) for p in reversed(e.premises))
+        if copies:
+            parts = [(t, _retarget(e, ctx, n)) for t, e in copies.items()]
+            dn = self._inter_intro(ctx, n, parts)
+        elif spec.has_omega:
+            dn = make_derivation("AxOmega", ctx, n, Atom(OMEGA))
+        elif isinstance(n, Var) and n.name in ctx:
+            dn = make_derivation("Ax", ctx, n, ctx[n.name])
+        elif isinstance(n, Lam) and spec.has_nu:
+            dn = make_derivation("AxNu", ctx, n, Atom(NU))
+        else:
+            dn = self._dropped_argument(ctx, n, a, depth - 1)
+            if dn is None:
+                return None
+        b = dn.type
+        body = _retarget(d, {**ctx, x: b}, lam.body, (x, b))
+        fun = make_derivation("ArrowI", ctx, lam, Arrow(b, d.type), (body,))
+        return make_derivation("ArrowE", ctx, redex, d.type, (fun, dn))
+
+    def _dropped_argument(self, ctx, n, a, depth):
+        """A derivation of n : B for the first candidate type B that the
+        search proves at depth, or None.  Without omega an argument that
+        the contractum drops must still be typable, as in the lambda-I
+        calculus; this is the one use of the candidate pool.
+
+        The search of n : B follows n's head contractions whatever B is, so
+        when they do not end within depth, no candidate is tried."""
+        m = n
+        for _ in range(depth):
+            m = contract_head(m)
+            if m is None:
+                break
+        else:
+            return None
         for b in self._candidates(ctx, a):
-            vf, df = self._derive(ctx, m.fun, Arrow(b, a), depth - 1)
-            if vf is not Verdict.YES:
-                continue
-            va, da = self._derive(ctx, m.arg, b, depth - 1)
-            if va is Verdict.YES:
-                d = make_derivation("ArrowE", ctx, m, a, (df, da))
-                return Verdict.YES, d
-        return Verdict.UNKNOWN, None
+            v, d = self._derive(ctx, n, b, depth)
+            if v is Verdict.YES:
+                return d
+        return None
 
     def _invert_spine(self, ctx, head, apps, a, depth):
         """Decide x N1 ... Nk : a by iterated filter application.
@@ -336,9 +475,9 @@ class _Search:
         the codomains of the arrow heads of T_(i-1) whose domains Ni has.
         With no such head, x N1 ... Ni has only the types above omega: none
         at all in a theory without omega.  An unbound x is treated the same
-        way.  Ni is searched at the depth the pool would give it.  An
-        argument the search cannot settle only drops a head, which weakens
-        T_i: YES stays sound, NO becomes UNKNOWN."""
+        way.  Ni is searched at depth - (k - i + 1).  An argument the
+        search cannot settle only drops a head, which weakens T_i: YES
+        stays sound, NO becomes UNKNOWN."""
         spec = self.spec
         if head.name in ctx:
             t = ctx[head.name]
@@ -381,46 +520,32 @@ class _Search:
                 continue
             da = self._inter_intro(ctx, app.arg, [(h.dom, e) for h, e in kept])
             cod = inter_of([h.cod for h, _ in kept])
-            df = _via_leq(spec, ctx, app.fun, d, Arrow(da.type, cod))
+            df = _via_leq(ctx, app.fun, d, Arrow(da.type, cod))
             d = make_derivation("ArrowE", ctx, app, cod, (df, da))
-        return _via_leq(spec, ctx, apps[-1], d, a)
+        return _via_leq(ctx, apps[-1], d, a)
 
     def _candidates(self, ctx, a):
+        """Types of size at most max_candidate_type_size: the canonical
+        forms of the subterms of the context types and of a, then the other
+        canonical types over their atoms and the theory's constants."""
         spec = self.spec
-        size_cap = self.budget.max_candidate_type_size
-        seeds = []
-        seen = set()
-
-        def visit(t):
+        cap = self.budget.max_candidate_type_size
+        seeds = {}  # an ordered set
+        atoms = {OMEGA, NU} & spec.atoms
+        todo = [a, *reversed(ctx.values())]  # preorder, on an explicit stack
+        while todo:
+            t = todo.pop()
             ct = canonical(spec, t)
-            if ct not in seen and type_size(ct) <= size_cap:
-                seen.add(ct)
-                seeds.append(ct)
-
-        def subterms(t):
-            yield t
-            match t:
-                case Arrow(d, c) | Inter(d, c):
-                    yield from subterms(d)
-                    yield from subterms(c)
-
-        for t in list(ctx.values()) + [a]:
-            for s in subterms(t):
-                visit(s)
-        atoms = set()
-        for t in list(ctx.values()) + [a]:
-            atoms |= type_atoms(t)
-        if spec.has_omega:
-            atoms.add(OMEGA)
-        if spec.has_nu:
-            atoms.add(NU)
-        atoms &= spec.atoms
-        rest = [
-            t
-            for t in canonical_types(spec, atoms, size_cap)
-            if t not in seen
-        ]
-        return seeds + rest
+            if type_size(ct) <= cap:
+                seeds.setdefault(ct)
+            if isinstance(t, Arrow):
+                todo += (t.cod, t.dom)
+            elif isinstance(t, Inter):
+                todo += (t.right, t.left)
+            else:
+                atoms.add(t.name)
+        rest = canonical_types(spec, atoms & spec.atoms, cap)
+        return [*seeds, *(t for t in rest if t not in seeds)]
 
 
 def derives(
@@ -431,8 +556,24 @@ def derives(
     budget: SearchBudget = SearchBudget(),
 ) -> tuple[Verdict, Derivation | None]:
     """Search for a derivation of ctx |- m : a.  YES comes with a checkable
-    derivation; NO is an exact refutation; UNKNOWN means the budget ran out."""
-    return _Search(spec, budget).run(ctx, m, a)
+    derivation; NO is an exact refutation; UNKNOWN means the budget ran out.
+    An atom outside the theory raises UnknownAtomError."""
+    search = _Search(spec, budget)
+    _check_atoms(spec, (*ctx.values(), a))
+    return search.run(ctx, m, a)
+
+
+def _check_atoms(spec: TheorySpec, types) -> None:
+    known = spec.tables.in_theory
+    for t in types:
+        if t in known:
+            continue
+        stray = type_atoms(t) - spec.atoms
+        if stray:
+            raise UnknownAtomError(min(stray))
+        if len(known) >= TABLE_CAP:
+            known.clear()
+        known.add(t)
 
 
 def infer_types(
@@ -444,8 +585,10 @@ def infer_types(
     budget: SearchBudget = SearchBudget(),
 ) -> set[Type]:
     """All canonical types of bounded size (over the given atoms plus the
-    theory's distinguished constants) derivable for m."""
+    theory's distinguished constants) derivable for m.  An atom of a context
+    type outside the theory raises UnknownAtomError."""
     search = _Search(spec, budget)
+    _check_atoms(spec, ctx.values())
     names = set(atoms) & spec.atoms
     if spec.has_omega:
         names.add(OMEGA)
@@ -566,16 +709,22 @@ def hindley_rule_check(
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    data = {
-        "rule": d.rule,
-        "ctx": {x: print_type(t) for x, t in d.ctx},
-        "term": print_term(d.term),
-        "type": print_type(d.type),
-        "premises": [derivation_to_json(p) for p in d.premises],
-    }
-    if d.leq_pair is not None:
-        data["leq"] = [print_type(d.leq_pair[0]), print_type(d.leq_pair[1])]
-    return data
+    root = {}
+    todo = [(d, root)]  # an explicit stack of derivations and their empty dicts
+    while todo:
+        d, data = todo.pop()
+        premises = [{} for _ in d.premises]
+        data.update(
+            rule=d.rule,
+            ctx={x: print_type(t) for x, t in d.ctx},
+            term=print_term(d.term),
+            type=print_type(d.type),
+            premises=premises,
+        )
+        if d.leq_pair is not None:
+            data["leq"] = [print_type(d.leq_pair[0]), print_type(d.leq_pair[1])]
+        todo += zip(d.premises, premises)
+    return root
 
 
 def derivation_from_json(data: dict) -> Derivation:

@@ -19,9 +19,9 @@ from .assign import (
     derives,
 )
 from .classify import adequacy_report
-from .errors import ItypesError
+from .errors import ItypesError, ResourceLimit
 from .filters import FiniteFilter, interpret_member
-from .subtype import leq_trace, proof_to_json
+from .subtype import leq, leq_trace, proof_to_json
 from .syntax import parse_term, parse_type, print_type
 from .theory import NamedTheory, load_spec, named_theory
 
@@ -63,21 +63,38 @@ def _parse_env(spec, text: str):
     return env
 
 
-def _emit(args, text_line: str, payload: dict):
-    if args.output == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+def _emit(args, text_line: str, payload):
+    """Print text_line, or with ``--output json`` the JSON of payload(),
+    which text mode never calls."""
+    if args.output != "json":
         print(text_line)
+        return
+    try:
+        out = json.dumps(payload(), indent=2)
+    except RecursionError:
+        # the indenting encoder recurses once per nesting level
+        raise ResourceLimit(
+            "JSON output nested deeper than the interpreter's recursion "
+            f"limit ({sys.getrecursionlimit()})"
+        ) from None
+    print(out)
 
 
 def _cmd_leq(args, spec, budget) -> int:
     a = parse_type(args.lhs, spec)
     b = parse_type(args.rhs, spec)
-    trace = leq_trace(spec, a, b)
-    ok = trace is not None
-    payload = {"result": ok}
-    if ok:
-        payload["trace"] = proof_to_json(trace)
+    if args.output == "json":
+        trace = leq_trace(spec, a, b)
+        ok = trace is not None
+    else:  # text mode only decides
+        trace, ok = None, leq(spec, a, b)
+
+    def payload():
+        out = {"result": ok}
+        if trace is not None:
+            out["trace"] = proof_to_json(trace)
+        return out
+
     _emit(args, "true" if ok else "false", payload)
     return 0 if ok else 1
 
@@ -87,9 +104,13 @@ def _cmd_check(args, spec, budget) -> int:
     m = parse_term(args.term)
     a = parse_type(args.type, spec)
     v, d = derives(spec, ctx, m, a, budget)
-    payload = {"verdict": v.value}
-    if d is not None:
-        payload["derivation"] = derivation_to_json(d)
+
+    def payload():
+        out = {"verdict": v.value}
+        if d is not None:
+            out["derivation"] = derivation_to_json(d)
+        return out
+
     _emit(args, v.value, payload)
     return _VERDICT_EXIT[v]
 
@@ -104,7 +125,7 @@ def _cmd_infer(args, spec, budget) -> int:
         key=print_type,
     )
     lines = [print_type(t) for t in found]
-    _emit(args, "\n".join(lines), {"types": lines})
+    _emit(args, "\n".join(lines), lambda: {"types": lines})
     return 0
 
 
@@ -113,7 +134,7 @@ def _cmd_interp(args, spec, budget) -> int:
     m = parse_term(args.term)
     a = parse_type(args.type, spec)
     v = interpret_member(spec, m, env, a, budget)
-    _emit(args, v.value, {"verdict": v.value})
+    _emit(args, v.value, lambda: {"verdict": v.value})
     return _VERDICT_EXIT[v]
 
 
@@ -122,7 +143,7 @@ def _cmd_classify(args, spec, budget) -> int:
     payload = report.to_json()
     lines = [f"{k}: {v}" for k, v in payload.items() if k != "notes"]
     lines += [f"note: {n}" for n in report.notes]
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, "\n".join(lines), lambda: payload)
     return 0
 
 
@@ -137,7 +158,7 @@ def _cmd_laws(args, spec, budget) -> int:
         f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.checked} checked)"
         for r in results
     ]
-    _emit(args, "\n".join(lines), {"results": [r.to_json() for r in results]})
+    _emit(args, "\n".join(lines), lambda: {"results": [r.to_json() for r in results]})
     return 0 if not failed else 1
 
 
@@ -145,8 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theory", default="bcd", help="ba|ehr|ao|bcd or file:PATH")
     common.add_argument("--atoms", type=int, default=3, help="fresh atom count")
-    common.add_argument("--budget-size", type=int, default=6)
-    common.add_argument("--budget-depth", type=int, default=64)
+    common.add_argument(
+        "--budget-size", type=int, default=6,
+        help="largest candidate type tried for an argument that a "
+        "contraction drops (theories without omega only)",
+    )
+    common.add_argument(
+        "--budget-depth", type=int, default=64,
+        help="deepest nesting of search steps; each contraction takes one",
+    )
     common.add_argument("--output", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
 

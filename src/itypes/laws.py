@@ -42,6 +42,7 @@ from .syntax import (
     NU,
     OMEGA,
     Var,
+    contract_head,
     print_type,
 )
 from .theory import Rule, TheorySpec
@@ -381,6 +382,73 @@ def spine_filter_law(
     return res
 
 
+def _contract_one(rng: random.Random, m):
+    """m with one of its redexes, chosen by rng, contracted; and whether
+    that redex is m's head redex."""
+    sites = []  # paths to the redexes, a path being a tuple of field names
+    todo = [(m, ())]
+    while todo:
+        t, path = todo.pop()
+        if isinstance(t, App):
+            if isinstance(t.fun, Lam):
+                sites.append(path)
+            todo += ((t.fun, path + ("fun",)), (t.arg, path + ("arg",)))
+        elif isinstance(t, Lam):
+            todo.append((t.body, path + ("body",)))
+    path = rng.choice(sorted(sites))
+
+    def rebuild(t, path):
+        match path[:1]:
+            case ():
+                return contract_head(t)
+            case ("fun",):
+                return App(rebuild(t.fun, path[1:]), t.arg)
+            case ("arg",):
+                return App(t.fun, rebuild(t.arg, path[1:]))
+            case _:
+                return Lam(t.binder, rebuild(t.body, path[1:]))
+
+    return rebuild(m, path), all(step == "fun" for step in path)
+
+
+def subject_reduction_law(
+    spec: TheorySpec, atoms, size: int, seed: int, samples: int = 60
+) -> LawResult:
+    """Beta-reduction keeps typings.  For seeded judgments whose subject
+    (\\v. M) N P1 ... Pk has a head redex, one redex R of it, chosen at
+    random, is contracted to C.  Subject reduction (every theory the search
+    accepts) forbids R YES with C NO.  Subject expansion forbids C YES with
+    R NO where it holds: with omega, or when R is the head redex, which
+    the search decides through its contractum.  Every YES derivation
+    checks."""
+    res = LawResult("subject-reduction")
+    rng = random.Random(seed)
+    pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
+    budget = SearchBudget(max_candidate_type_size=4, max_depth=16)
+    for _ in range(samples):
+        m = App(
+            Lam(rng.choice("xyz"), _random_term(rng, rng.randrange(3))),
+            _random_term(rng, rng.randrange(3)),
+        )
+        for _ in range(rng.randrange(2)):
+            m = App(m, _random_term(rng, rng.randrange(2)))
+        ctx = {v: rng.choice(pool) for v in ("x", "y", "z") if rng.random() < 0.7}
+        a = rng.choice(pool)
+        c, at_head = _contract_one(rng, m)
+        res.checked += 1
+        vm, dm = derives(spec, ctx, m, a, budget)
+        vc, dc = derives(spec, ctx, c, a, budget)
+        for v, d in ((vm, dm), (vc, dc)):
+            if v is Verdict.YES and not check_derivation(spec, d):
+                res.failures.append((str(m), str(c), print_type(a), "bad-derivation"))
+        if vm is Verdict.YES and vc is Verdict.NO:
+            res.failures.append((str(m), str(c), print_type(a), "reduction"))
+        expands = spec.has_omega or at_head
+        if expands and vc is Verdict.YES and vm is Verdict.NO:
+            res.failures.append((str(m), str(c), print_type(a), "expansion"))
+    return res
+
+
 def run_all(spec: TheorySpec, atoms, size: int, seed: int) -> list[LawResult]:
     results = []
     results += preorder_laws(spec, atoms, size)
@@ -392,4 +460,5 @@ def run_all(spec: TheorySpec, atoms, size: int, seed: int) -> list[LawResult]:
     results.append(fun_phi_law(spec, atoms, size))
     results.append(search_soundness_law(spec, atoms, size, seed))
     results.append(spine_filter_law(spec, atoms, size, seed))
+    results.append(subject_reduction_law(spec, atoms, size, seed))
     return results

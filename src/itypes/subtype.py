@@ -151,12 +151,16 @@ def check_proof(spec: TheorySpec, p: Proof) -> bool:
 
 
 def proof_to_json(p: Proof) -> dict:
-    return {
-        "rule": p.rule,
-        "lhs": print_type(p.lhs),
-        "rhs": print_type(p.rhs),
-        "premises": [proof_to_json(q) for q in p.premises],
-    }
+    root = {}
+    todo = [(p, root)]  # an explicit stack of proofs and their empty dicts
+    while todo:
+        p, out = todo.pop()
+        premises = [{} for _ in p.premises]
+        out.update(
+            rule=p.rule, lhs=print_type(p.lhs), rhs=print_type(p.rhs), premises=premises
+        )
+        todo += zip(p.premises, premises)
+    return root
 
 
 # --------------------------------------------------------- proof combinators

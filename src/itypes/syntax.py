@@ -179,14 +179,85 @@ class App(Term):
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(x):
-            return frozenset({x})
-        case Lam(x, body):
-            return free_vars(body) - {x}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-    raise TypeError(t)
+    out = set()
+    bound: dict[str, int] = {}  # binder -> enclosing abstractions binding it
+    todo = [t]  # an explicit stack; a str marks leaving that binder's scope
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            bound[t] -= 1
+        elif isinstance(t, Var):
+            if not bound.get(t.name):
+                out.add(t.name)
+        elif isinstance(t, Lam):
+            bound[t.binder] = bound.get(t.binder, 0) + 1
+            todo += (t.binder, t.body)
+        elif isinstance(t, App):
+            todo += (t.arg, t.fun)
+        else:
+            raise TypeError(t)
+    return frozenset(out)
+
+
+def _names(t: Term) -> set[str]:
+    """Every variable name in t, free, bound or binding."""
+    names = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            names.add(t.name)
+        elif isinstance(t, Lam):
+            names.add(t.binder)
+            todo.append(t.body)
+        else:
+            todo += (t.fun, t.arg)
+    return names
+
+
+def substitute(m: Term, x: str, n: Term) -> Term:
+    """m[x := n], capture-avoiding: a binder of m that is free in n, and
+    under which x is still substituted, is renamed to a name that occurs
+    nowhere in m or n.  The result shares every subterm of m that the
+    substitution leaves unchanged.  Walks an explicit stack, so depth is
+    bounded only by memory."""
+    capture = free_vars(n)
+    used = None  # the names to avoid, made on the first renaming
+    serial = 0  # fresh names count up across the call, so each is O(1)
+    out = []  # finished subterms, in order
+    # frames: ("visit", term, env) with env mapping a name to its
+    # replacement, ("lam", binder, None) and ("app", None, None)
+    todo = [("visit", m, {x: n})]
+    while todo:
+        kind, t, env = todo.pop()
+        if kind == "app":
+            arg = out.pop()
+            out.append(App(out.pop(), arg))
+        elif kind == "lam":
+            out.append(Lam(t, out.pop()))
+        elif not env:
+            out.append(t)  # nothing to replace below here
+        elif isinstance(t, Var):
+            out.append(env.get(t.name, t))
+        elif isinstance(t, App):
+            todo += (("app", None, None), ("visit", t.arg, env), ("visit", t.fun, env))
+        elif isinstance(t, Lam):
+            y = t.binder
+            inner = {k: v for k, v in env.items() if k != y} if y in env else env
+            if y in capture and x in inner:
+                if used is None:
+                    used = _names(m) | _names(n)
+                z = y
+                while z in used:
+                    serial += 1
+                    z = f"{y}{serial}"
+                used.add(z)
+                inner = {**inner, y: Var(z)}
+                y = z
+            todo += (("lam", y, None), ("visit", t.body, inner))
+        else:
+            raise TypeError(t)
+    return out.pop()
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -227,6 +298,22 @@ def canonical_term(t: Term) -> Term:
         raise TypeError(t)
 
     return go(t, {}, 0)
+
+
+def contract_head(m: Term) -> Term | None:
+    """One step of head reduction: (\\x. M) N P1 ... Pk to
+    M[x := N] P1 ... Pk.  None when m is not an application headed by an
+    abstraction."""
+    args = []
+    while isinstance(m, App):
+        args.append(m.arg)
+        m = m.fun
+    if not args or not isinstance(m, Lam):
+        return None
+    c = substitute(m.body, m.binder, args.pop())
+    while args:
+        c = App(c, args.pop())
+    return c
 
 
 # ---------------------------------------------------------------- lexer

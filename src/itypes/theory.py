@@ -64,11 +64,12 @@ class TheoryTables:
     ``heads`` maps a type to its arrow heads, and ``head_proofs`` to those
     heads with their proofs; ``canon`` maps a type to its canonical
     conjuncts; ``pools`` maps ``(frozenset(atoms), max_size)`` to the
-    canonical types of that universe.  Types are hash-consed, so the tables
-    key on node identity.
+    canonical types of that universe; ``in_theory`` holds the types whose
+    atoms the search has found in the theory.  Types are hash-consed, so the
+    tables key on node identity.
     """
 
-    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools")
+    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools", "in_theory")
 
     def __init__(self):
         self.leq: dict[tuple[Type, Type], bool] = {}
@@ -76,6 +77,7 @@ class TheoryTables:
         self.head_proofs: dict[Type, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}
         self.pools: dict[tuple[frozenset[str], int], tuple[Type, ...]] = {}
+        self.in_theory: set[Type] = set()
 
 
 @dataclass(frozen=True)

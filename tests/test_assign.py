@@ -15,8 +15,13 @@ from itypes.assign import (
     infer_types,
     make_derivation,
 )
-from itypes.errors import UnsupportedTheory
-from itypes.laws import random_judgments, search_soundness_law, spine_filter_law
+from itypes.errors import UnknownAtomError, UnsupportedTheory
+from itypes.laws import (
+    random_judgments,
+    search_soundness_law,
+    spine_filter_law,
+    subject_reduction_law,
+)
 from itypes.syntax import Atom, parse_term as T, parse_type as P
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
 
@@ -92,6 +97,8 @@ def test_ao_types_k_of_unsolvable(ao):
     v, d = derives(ao, {}, T(rf"(\y. \x. x) ({OMEGA_TERM})"), P("a -> a"))
     assert v is Verdict.YES
     assert check_derivation(ao, d)
+    # subject expansion gives the dropped argument omega
+    assert d.premises[1].rule == "AxOmega"
 
 
 def test_ehr_types_k_of_frozen_unsolvable(ehr):
@@ -100,9 +107,20 @@ def test_ehr_types_k_of_frozen_unsolvable(ehr):
     assert check_derivation(ehr, d)
 
 
+def test_search_deeper_than_the_stack_is_unknown(ba):
+    # a long chain of head contractions runs on a loop; each unfolding of
+    # Y g nests Python frames, and a budget this deep outruns the stack
+    big = SearchBudget(6, 1000)
+    assert derives(ba, {}, T(OMEGA_TERM), P("a -> a"), big)[0] is Verdict.UNKNOWN
+    y_g = T(r"(\f. (\x. f (x x)) (\x. f (x x))) g")
+    v, _ = derives(ba, {"g": P("a -> a")}, y_g, P("a -> a"), big)
+    assert v is Verdict.UNKNOWN
+
+
 def test_ehr_never_types_k_of_unsolvable(ehr):
-    v, _ = derives(ehr, {}, T(rf"(\y. \x. x) ({OMEGA_TERM})"), P("a -> a"), SMALL)
-    assert v is not Verdict.YES
+    for budget in (SMALL, SearchBudget()):
+        v, _ = derives(ehr, {}, T(rf"(\y. \x. x) ({OMEGA_TERM})"), P("a -> a"), budget)
+        assert v is not Verdict.YES
 
 
 # ---------------------------------------------------------------- search behaviour
@@ -218,15 +236,17 @@ def test_variable_spine_yes_without_pool(ba):
 
 
 def test_variable_spine_unsettled_argument_is_no_refutation(ba):
-    # under the tiny pool the redex argument stays UNKNOWN, so its head is
-    # dropped; the spine then proves nothing, and that is not a NO
+    # the argument Omega never settles, so its head is dropped; the spine
+    # then proves nothing, and that is not a NO
     ctx = {"x": P("(a -> a) -> b"), "z": P("a -> a")}
+    assert derives(ba, ctx, T(f"x ({OMEGA_TERM})"), P("b"))[0] is Verdict.UNKNOWN
+    # a redex argument settles through its contractum, even under a tiny
+    # candidate size
     m = T(r"x ((\y. y) z)")
-    tiny = SearchBudget(max_candidate_type_size=1, max_depth=8)
-    assert derives(ba, ctx, m, P("b"), tiny)[0] is Verdict.UNKNOWN
-    v, d = derives(ba, ctx, m, P("b"))
-    assert v is Verdict.YES
-    assert check_derivation(ba, d)
+    for budget in (SearchBudget(max_candidate_type_size=1, max_depth=8), SearchBudget()):
+        v, d = derives(ba, ctx, m, P("b"), budget)
+        assert v is Verdict.YES
+        assert check_derivation(ba, d)
 
 
 def test_variable_spine_through_equated_atom():
@@ -257,6 +277,98 @@ def test_search_soundness_law_checks_no_verdicts(ba):
     assert res.ok, res.failures
     # the Yes corpus plus every No met while drawing it
     assert res.checked > len(random_judgments(ba, {"a", "b"}, seed=0, count=25))
+
+
+# ---------------------------------------------------------------- head redexes
+
+
+def test_redex_refuted_by_its_contractum(ba):
+    # (\x. x) y reduces to y, which has only the supertypes of a
+    assert derives(ba, {"y": P("a")}, T(r"(\x. x) y"), P("b"))[0] is Verdict.NO
+
+
+def test_redex_expanded_from_copies_of_its_argument(ba):
+    # y is used at two types; the binder x gets their meet
+    ctx = {"y": P("(a -> b) & a")}
+    v, d = derives(ba, ctx, T(r"(\x. x x) y"), P("b"))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+    assert d.rule == "ArrowE" and d.premises[0].type.dom == P("(a -> b) & a")
+
+
+def test_redex_expansion_renames_a_capturing_binder(ba):
+    ctx = {"y": P("b")}
+    v, d = derives(ba, ctx, T(r"(\x. \y. x) y"), P("a -> b"))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+    assert derives(ba, ctx, T(r"(\x. \y. x) y"), P("b -> a"))[0] is Verdict.NO
+
+
+def test_redex_spine_expanded(bcd):
+    ctx = {"z": P("a")}
+    m = T(r"(\x. \y. y x) z (\w. w)")
+    v, d = derives(bcd, ctx, m, P("a"))
+    assert v is Verdict.YES
+    assert check_derivation(bcd, d)
+
+
+def test_dropped_argument_typed_from_the_candidates(ba):
+    # without omega the dropped argument still needs a type; x : a serves
+    ctx = {"x": P("a"), "y": P("b")}
+    v, d = derives(ba, ctx, T(r"(\z. y) ((\u. u) x)"), P("b"))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+
+
+@pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
+@pytest.mark.parametrize("term", [r"(\x. x x x) (\x. x x x)", OMEGA_TERM])
+def test_non_normalising_redex_stays_unknown(all_theories, name, term):
+    spec = all_theories[name]
+    assert derives(spec, {}, T(term), P("a -> a"))[0] is Verdict.UNKNOWN
+
+
+@pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
+def test_subject_reduction_law(all_theories, name):
+    res = subject_reduction_law(all_theories[name], {"a", "b"}, 4, seed=2)
+    assert res.ok, res.failures
+    assert res.checked == 60
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_spec({"a", "b", "c"}, BA_RULES, {"c": P("a -> b -> a")}),
+        make_spec({"a", "b", "omega"}, BA_RULES | {Rule.OMEGA_TOP}, {"a": P("b -> b")}),
+    ],
+)
+def test_subject_reduction_law_with_equation(spec):
+    res = subject_reduction_law(spec, {"a", "b"}, 4, seed=6)
+    assert res.ok, res.failures
+
+
+# ---------------------------------------------------------------- atoms
+
+
+def test_search_rejects_atoms_outside_the_theory(ba):
+    with pytest.raises(UnknownAtomError, match="'z'"):
+        derives(ba, {"x": P("z")}, T("x"), P("z"))
+    with pytest.raises(UnknownAtomError):
+        derives(ba, {"x": P("a")}, T("x"), P("a -> c"))
+    with pytest.raises(UnknownAtomError):
+        infer_types(ba, {"x": P("a & z")}, T("x"), 3, {"a"})
+    assert derives(ba, {"x": P("a")}, T("x"), P("a"))[0] is Verdict.YES
+
+
+def test_atom_check_table_is_cleared_at_cap(monkeypatch):
+    import itypes.assign as assign
+
+    monkeypatch.setattr(assign, "TABLE_CAP", 2)
+    spec = named_theory(NamedTheory.BA, 2)  # a new spec has new tables
+    for t in ("a", "b", "a -> b", "b -> a", "a & b"):
+        assert derives(spec, {"x": P(t)}, T("x"), P(t))[0] is Verdict.YES
+    assert 0 < len(spec.tables.in_theory) <= 2
+    with pytest.raises(UnknownAtomError):
+        derives(spec, {"x": P("a")}, T("x"), P("c"))
 
 
 # ---------------------------------------------------------------- inference

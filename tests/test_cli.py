@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -54,6 +55,33 @@ def test_deeply_nested_input_exit_two(capsys):
     assert "RecursionError" not in err
 
 
+def test_deep_leq_text_mode_builds_no_trace(capsys):
+    lhs = " & ".join(["a"] + ["b"] * 2999)
+    code, out, err = run(capsys, "leq", "--theory", "ba", "--atoms", "2", lhs, "a")
+    assert code == 0
+    assert out.strip() == "true"
+    assert err == ""
+
+
+def test_deep_leq_json_is_a_resource_limit(capsys):
+    # the indenting JSON encoder recurses once per nesting level; a lowered
+    # interpreter limit keeps the input small, as the trace prints in
+    # quadratic time
+    lhs = " & ".join(["a"] + ["b"] * 199)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        code, out, err = run(
+            capsys, "leq", "--theory", "ba", "--atoms", "2", "--output", "json", lhs, "a"
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out == ""
+    assert "recursion limit" in err
+    assert "RecursionError" not in err
+
+
 def test_unknown_theory_exit_two(capsys):
     code, _, err = run(capsys, "leq", "--theory", "zfc", "a", "a")
     assert code == 2
@@ -85,6 +113,13 @@ def test_check_unknown_exit_three(capsys):
     )
     assert code == 3
     assert out.strip() == "unknown"
+
+
+def test_check_atom_outside_theory_exit_two(capsys):
+    code, out, err = run(capsys, "check", "--theory", "ba", "--atoms", "2", "x: z", "x", "z")
+    assert code == 2
+    assert out == ""
+    assert "'z'" in err
 
 
 def test_check_variable_spine_no(capsys):

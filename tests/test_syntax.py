@@ -17,11 +17,13 @@ from itypes.syntax import (
     Var,
     alpha_eq,
     canonical_term,
+    contract_head,
     free_vars,
     parse_term,
     parse_type,
     print_term,
     print_type,
+    substitute,
     type_atoms,
     type_size,
 )
@@ -196,3 +198,69 @@ def test_alpha_eq_renames_bound_only():
 def test_canonical_term_is_alpha_invariant(m):
     assert alpha_eq(m, canonical_term(m))
     assert canonical_term(canonical_term(m)) == canonical_term(m)
+
+
+# ---------------------------------------------------------------- substitution
+
+
+def _free_vars_reference(t):
+    match t:
+        case Var(x):
+            return {x}
+        case Lam(x, body):
+            return _free_vars_reference(body) - {x}
+        case App(f, a):
+            return _free_vars_reference(f) | _free_vars_reference(a)
+
+
+@given(_terms())
+def test_free_vars_matches_recursive_definition(m):
+    assert free_vars(m) == _free_vars_reference(m)
+
+
+def test_contraction_avoids_capture():
+    c = contract_head(parse_term(r"(\x. \y. x) y"))
+    assert alpha_eq(c, parse_term(r"\z. y"))
+    assert free_vars(c) == {"y"}
+    # the fresh name avoids every name already in the term
+    c = contract_head(parse_term(r"(\x. \y. x y0 y1 y) y"))
+    assert alpha_eq(c, parse_term(r"\z. y y0 y1 z"))
+
+
+def test_contraction_respects_shadowing():
+    assert contract_head(parse_term(r"(\x. \x. x) (\u. u)")) == parse_term(r"\x. x")
+    assert alpha_eq(contract_head(parse_term(r"(\x. \x. x) x")), parse_term(r"\x. x"))
+
+
+def test_contraction_keeps_the_spine_arguments():
+    c = contract_head(parse_term(r"(\x. x x) y z w"))
+    assert c == parse_term("y y z w")
+    assert contract_head(parse_term("x y")) is None
+    assert contract_head(parse_term(r"\x. (\y. y) x")) is None
+
+
+@given(_terms(), _terms())
+def test_substitution_free_variables(m, n):
+    # FV(m[x := n]) = FV(m) - {x}, plus FV(n) when x is free in m
+    want = free_vars(m) - {"x"}
+    if "x" in free_vars(m):
+        want |= free_vars(n)
+    got = substitute(m, "x", n)
+    assert free_vars(got) == want
+    if "x" not in free_vars(m):
+        assert alpha_eq(got, m)
+
+
+def test_substitution_on_deep_body():
+    body = Var("x")
+    for i in range(5000):
+        body = Lam(f"y{i % 3}", App(body, Var("w")))
+    got = substitute(body, "x", Var("y0"))
+    # the binders named y0 are renamed, so the substituted y0 stays free
+    assert free_vars(got) == {"w", "y0"}
+    depth = 0
+    while isinstance(got, Lam):
+        got = got.body.fun
+        depth += 1
+    assert depth == 5000
+    assert got == Var("y0")
