@@ -16,7 +16,7 @@ by exact refutations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ResourceLimit, UnknownAtomError, UnsupportedTheory
 from .syntax import (
@@ -30,7 +30,6 @@ from .syntax import (
     Term,
     Type,
     Var,
-    canonical_term,
     conjuncts,
     contract_head,
     free_vars,
@@ -54,8 +53,7 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_candidate_type_size max_depth")):
     """Bounds of one search.
 
     ``max_depth`` bounds the nesting of search steps: each abstraction
@@ -67,12 +65,12 @@ class SearchBudget:
     interpreter's recursion limit allows ends UNKNOWN, as one that reaches
     ``max_depth`` does."""
 
-    max_candidate_type_size: int = 6
-    max_depth: int = 64
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_candidate_type_size < 1 or self.max_depth < 1:
+    def __new__(cls, max_candidate_type_size: int = 6, max_depth: int = 64):
+        if max_candidate_type_size < 1 or max_depth < 1:
             raise ValueError("budget fields must be >= 1")
+        return super().__new__(cls, max_candidate_type_size, max_depth)
 
 
 # ---------------------------------------------------------------- derivations
@@ -80,14 +78,17 @@ class SearchBudget:
 RULES = ("Ax", "AxOmega", "AxNu", "ArrowI", "ArrowE", "InterI", "Leq")
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    ctx: tuple[tuple[str, Type], ...]
-    term: Term
-    type: Type
-    premises: tuple["Derivation", ...] = ()
-    leq_pair: tuple[Type, Type] | None = None
+class Derivation(
+    namedtuple(
+        "Derivation", "rule ctx term type premises leq_pair", defaults=((), None)
+    )
+):
+    """One node of a type-assignment derivation: ``ctx |- term : type`` by
+    ``rule``, with ``ctx`` a sorted tuple of (variable, type) pairs and
+    ``leq_pair`` the subtype step of a ``Leq`` node.  An immutable tuple
+    node, like ``subtype.Proof``: equality and hashing by value."""
+
+    __slots__ = ()
 
 
 def _ctx_tuple(ctx: Basis) -> tuple:
@@ -108,7 +109,11 @@ def derivation_error(spec: TheorySpec, d: Derivation):
     if validate(spec):
         raise UnsupportedTheory("theory spec fails validation")
 
-    def bad(d, path):
+    # preorder on an explicit stack, so depth is bounded only by memory; a
+    # path is kept as the pair (parent's path, index), () at the root
+    todo = [(d, ())]
+    while todo:
+        d, path = todo.pop()
         ctx = dict(d.ctx)
         match d.rule:
             case "Ax":
@@ -167,14 +172,13 @@ def derivation_error(spec: TheorySpec, d: Derivation):
             case _:
                 ok = False
         if not ok:
-            return path
-        for i, p in enumerate(d.premises):
-            r = bad(p, path + (i,))
-            if r is not None:
-                return r
-        return None
-
-    return bad(d, ())
+            indices = []
+            while path:
+                path, i = path
+                indices.append(i)
+            return tuple(reversed(indices))
+        todo += reversed([(p, (path, i)) for i, p in enumerate(d.premises)])
+    return None
 
 
 # ---------------------------------------------------------------- search
@@ -187,9 +191,7 @@ def _via_leq(ctx, term, got: Derivation, want: Type) -> Derivation:
 
 
 def _retarget(d: Derivation, ctx: Basis, m: Term, hole=None) -> Derivation:
-    """d rebuilt for m, an alpha-variant of d.term, under ctx.  The verdict
-    cache is keyed up to alpha-equivalence, so a hit can carry the tree of
-    another variant, whose binders the checker would not accept for m.
+    """d, a derivation of m under another context, rebuilt under ctx.
 
     With ``hole = (x, b)``, d derives m[x := N] instead, and each free x of
     m becomes ``Ax x: b`` weakened to the type d gives that copy of N."""
@@ -235,7 +237,6 @@ class _Search:
         # verdict cache: YES/NO are depth-independent, UNKNOWN remembers the
         # largest depth that failed to settle the query
         self.cache: dict = {}
-        self.terms: dict[int, tuple[Term, Term]] = {}  # id(m) -> (m, canonical)
 
     def run(self, ctx: Basis, m: Term, a: Type) -> tuple[Verdict, Derivation | None]:
         try:
@@ -245,22 +246,13 @@ class _Search:
             # nothing is cached before its subsearches return
             return Verdict.UNKNOWN, None
 
-    def _key(self, ctx, m, a):
-        # a judgment's subterms are fixed, so each is renamed once; the entry
-        # holds m itself so that its id cannot be reused
-        hit = self.terms.get(id(m))
-        if hit is None:
-            hit = self.terms[id(m)] = (m, canonical_term(m))
-        return (_ctx_tuple(ctx), hit[1], a)
-
     def _derive(self, ctx, m, a, depth):
-        key = self._key(ctx, m, a)
+        # terms and types are hash-consed, so the key hashes by node identity
+        key = (_ctx_tuple(ctx), m, a)
         hit = self.cache.get(key)
         if hit is not None:
             verdict, d, at_depth = hit
             if verdict is not Verdict.UNKNOWN or at_depth >= depth:
-                if d is not None and d.term != m:
-                    d = _retarget(d, ctx, m)
                 return verdict, d
         if depth <= 0:
             return Verdict.UNKNOWN, None
@@ -337,13 +329,10 @@ class _Search:
 
     def _inter_intro(self, ctx, m, parts):
         """Combine per-conjunct derivations with InterI, right-nested."""
-        if len(parts) == 1:
-            return parts[0][1]
-        head_t, head_d = parts[0]
-        rest_d = self._inter_intro(ctx, m, parts[1:])
-        return make_derivation(
-            "InterI", ctx, m, Inter(head_t, rest_d.type), (head_d, rest_d)
-        )
+        d = parts[-1][1]
+        for t, e in reversed(parts[:-1]):
+            d = make_derivation("InterI", ctx, m, Inter(t, d.type), (e, d))
+        return d
 
     # -- application: exact spine inversion for a variable head, contraction
     #    of the head redex for an abstraction head
@@ -607,10 +596,19 @@ def infer_types(
 # ---------------------------------------------------------------- admissibility
 
 
-@dataclass
 class SuiteReport:
-    checked: int = 0
-    counterexamples: list = field(default_factory=list)
+    """How many instances a suite checked, and the ones that failed."""
+
+    __slots__ = ("checked", "counterexamples")
+
+    def __init__(self, checked: int = 0, counterexamples: list | None = None):
+        self.checked = checked
+        self.counterexamples = [] if counterexamples is None else counterexamples
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.checked, self.counterexamples) == (other.checked, other.counterexamples)
 
     @property
     def ok(self) -> bool:

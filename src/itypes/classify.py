@@ -9,7 +9,7 @@ conditions the honest verdict is Unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .assign import SuiteReport, Verdict
 from .errors import UnsupportedTheory
@@ -128,15 +128,17 @@ def fun_alternative_check(spec: TheorySpec, corpus) -> SuiteReport:
     return report
 
 
-@dataclass
-class AdequacyReport:
-    strict: bool
-    natural: bool
-    inference_adequate: bool
-    simple_adequate: bool
-    f_type_theory: Verdict
-    f_adequate: Verdict
-    notes: list[str] = field(default_factory=list)
+class AdequacyReport(
+    namedtuple(
+        "AdequacyReport",
+        "strict natural inference_adequate simple_adequate f_type_theory"
+        " f_adequate notes",
+        defaults=((),),
+    )
+):
+    """Which adequacy results apply to a theory, with a note on each."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

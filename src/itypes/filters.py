@@ -8,7 +8,7 @@ single generator or the closure of the empty set (which is the whole of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .assign import SearchBudget, Verdict, derives
 from .errors import EmptyEnvFilter
@@ -28,12 +28,11 @@ from .syntax import (
 from .theory import Rule, TheorySpec
 
 
-@dataclass(frozen=True)
-class FiniteFilter:
+class FiniteFilter(namedtuple("FiniteFilter", "generator", defaults=(None,))):
     """Upward closure of ``generator``; ``None`` encodes the closure of the
     empty set."""
 
-    generator: Type | None = None
+    __slots__ = ()
 
     @property
     def is_empty_generated(self) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .assign import SearchBudget, Verdict, check_derivation, derives
 from .classify import fun_predicate, _tri_or
@@ -48,11 +47,22 @@ from .syntax import (
 from .theory import Rule, TheorySpec
 
 
-@dataclass
 class LawResult:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    """A law's name, how many instances were checked and the failures."""
+
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str, checked: int = 0, failures: list | None = None):
+        self.name = name
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.checked, self.failures) == (
+            other.name, other.checked, other.failures
+        )
 
     @property
     def ok(self) -> bool:

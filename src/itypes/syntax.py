@@ -9,7 +9,6 @@ the right; application associates to the left.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 from .errors import ParseError, UnknownAtomError
 
@@ -17,13 +16,13 @@ OMEGA = "omega"
 NU = "nu"
 
 
-# ---------------------------------------------------------------- types
+# ---------------------------------------------------------------- nodes
 #
-# Types are hash-consed (Filliatre & Conchon, "Type-safe modular
+# Types and terms are hash-consed (Filliatre & Conchon, "Type-safe modular
 # hash-consing", 2006): a constructor returns the one live node with its
-# fields, so structurally equal types are the same object.  Equality is
+# fields, so structurally equal nodes are the same object.  Equality is
 # identity and the hash is id-based, so neither recurses however deep the
-# type.  The intern table holds its nodes weakly: a type nothing else
+# node.  The intern table holds its nodes weakly: a node nothing else
 # references is freed.
 
 _NODES: dict[tuple, weakref.KeyedRef] = {}
@@ -49,7 +48,10 @@ def _intern(cls, *fields):
     return node
 
 
-class Type:
+class _Node:
+    """An interned, immutable node; subclasses list their fields in
+    ``__match_args__`` and build through ``_intern``."""
+
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
 
@@ -66,6 +68,13 @@ class Type:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------- types
+
+
+class Type(_Node):
+    __slots__ = ()
 
     def __str__(self):
         return print_type(self)
@@ -155,27 +164,35 @@ def inter_of(parts) -> Type:
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Node):
+    __slots__ = ()
+
     def __str__(self):
         return print_term(self)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, name)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    binder: str
-    body: Term
+    __slots__ = ("binder", "body")
+    __match_args__ = ("binder", "body")
+
+    def __new__(cls, binder: str, body: Term):
+        return _intern(cls, binder, body)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = ("fun", "arg")
+    __match_args__ = ("fun", "arg")
+
+    def __new__(cls, fun: Term, arg: Term):
+        return _intern(cls, fun, arg)
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -281,23 +298,6 @@ def alpha_eq(a: Term, b: Term) -> bool:
         return False
 
     return go(a, b, {}, {}, 0)
-
-
-def canonical_term(t: Term) -> Term:
-    """Rename bound variables to a de-Bruijn-indexed scheme; alpha-canonical."""
-
-    def go(t, env, depth):
-        match t:
-            case Var(x):
-                return Var(env.get(x, x))
-            case Lam(x, body):
-                fresh = f"_{depth}"
-                return Lam(fresh, go(body, {**env, x: fresh}, depth + 1))
-            case App(f, a):
-                return App(go(f, env, depth), go(a, env, depth))
-        raise TypeError(t)
-
-    return go(t, {}, 0)
 
 
 def contract_head(m: Term) -> Term | None:
@@ -465,20 +465,30 @@ def _prim(p, depth):
 # ---------------------------------------------------------------- printers
 
 def print_term(t: Term) -> str:
-    match t:
-        case Var(x):
-            return x
-        case Lam(x, body):
-            return f"\\{x}. {print_term(body)}"
-        case App(f, a):
-            fs = print_term(f)
-            if isinstance(f, Lam):
-                fs = f"({fs})"
-            arg = print_term(a)
-            if isinstance(a, (App, Lam)):
-                arg = f"({arg})"
-            return f"{fs} {arg}"
-    raise TypeError(t)
+    # An abstraction extends as far right as possible and application is
+    # left-associative: parenthesize an abstraction in function position and
+    # an abstraction or application in argument position.  The walk keeps an
+    # explicit stack, as print_type's does.
+    out = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, Lam):
+            todo += (t.body, f"\\{t.binder}. ")
+        elif isinstance(t, App):
+            f, a = t.fun, t.arg
+            todo += (
+                *_grouped(a, isinstance(a, (App, Lam))),
+                " ",
+                *_grouped(f, isinstance(f, Lam)),
+            )
+        else:
+            raise TypeError(t)
+    return "".join(out)
 
 
 def print_type(t: Type) -> str:
@@ -509,6 +519,6 @@ def print_type(t: Type) -> str:
     return "".join(out)
 
 
-def _grouped(t: Type, parens: bool) -> tuple:
-    """t for print_type's stack, in parentheses if asked, in stack order."""
+def _grouped(t, parens: bool) -> tuple:
+    """t for a printer's stack, in parentheses if asked, in stack order."""
     return (")", t, "(") if parens else (t,)

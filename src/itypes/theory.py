@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import json
 import string
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnsupportedTheory
@@ -80,12 +79,49 @@ class TheoryTables:
         self.in_theory: set[Type] = set()
 
 
-@dataclass(frozen=True)
 class TheorySpec:
-    atoms: frozenset[str]
-    rules: frozenset[Rule]
-    atom_equations: tuple[tuple[str, Type], ...] = ()
-    name: str | None = field(default=None, compare=False)
+    """A theory: its constants, rules and atom equations, and a display
+    ``name`` that equality and hashing ignore.  Immutable; the memo tables
+    and other derived values are cached on the instance, in ``__dict__``,
+    and a theory nothing references is freed with them."""
+
+    __slots__ = ("atoms", "rules", "atom_equations", "name", "__dict__", "__weakref__")
+
+    def __init__(
+        self,
+        atoms: frozenset[str],
+        rules: frozenset[Rule],
+        atom_equations: tuple[tuple[str, Type], ...] = (),
+        name: str | None = None,
+    ):
+        for field, value in zip(self.__slots__, (atoms, rules, atom_equations, name)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TheorySpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TheorySpec is immutable")
+
+    def _key(self):
+        return self.atoms, self.rules, self.atom_equations
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), (self.atoms, self.rules, self.atom_equations, self.name)
+
+    def __repr__(self):
+        return (
+            f"TheorySpec(atoms={self.atoms!r}, rules={self.rules!r}, "
+            f"atom_equations={self.atom_equations!r}, name={self.name!r})"
+        )
 
     @property
     def has_omega(self) -> bool:

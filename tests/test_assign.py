@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from itypes.assign import (
@@ -22,7 +24,16 @@ from itypes.laws import (
     spine_filter_law,
     subject_reduction_law,
 )
-from itypes.syntax import Atom, parse_term as T, parse_type as P
+from itypes.syntax import (
+    App,
+    Arrow,
+    Atom,
+    Lam,
+    Var,
+    inter_of,
+    parse_term as T,
+    parse_type as P,
+)
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
 
 DELTA = r"\x. x x"
@@ -55,6 +66,13 @@ def test_error_path_points_into_tree(ba):
     bad_inner = make_derivation("Ax", {"x": P("a")}, T("x"), P("b"))
     d = make_derivation("ArrowI", {}, T(r"\x. x"), P("a -> b"), (bad_inner,))
     assert derivation_error(ba, d) == (0,)
+    # the first incorrect node in preorder: here under the second premise
+    ctx = {"x": P("b -> a"), "y": P("a")}
+    fun = make_derivation("Ax", ctx, T("x"), P("b -> a"))
+    bad_leaf = make_derivation("Ax", ctx, T("y"), P("b"))
+    arg = make_derivation("Leq", ctx, T("y"), P("b"), (bad_leaf,), (P("b"), P("b")))
+    d = make_derivation("ArrowE", ctx, T("x y"), P("a"), (fun, arg))
+    assert derivation_error(ba, d) == (1, 0)
 
 
 def test_ax_omega_only_with_omega(ba, ao):
@@ -167,6 +185,14 @@ def test_budget_monotonicity(ba):
     assert small in (Verdict.YES, Verdict.UNKNOWN)
 
 
+def test_budget_fields_and_bounds():
+    assert SearchBudget() == SearchBudget(max_candidate_type_size=6, max_depth=64)
+    assert SearchBudget(4, 16).max_depth == 16
+    for sizes in ((0, 8), (4, 0)):
+        with pytest.raises(ValueError):
+            SearchBudget(*sizes)
+
+
 def test_alpha_invariance(ba):
     a = derives(ba, {}, T(r"\x. \y. x"), P("a -> b -> a"))[0]
     b = derives(ba, {}, T(r"\u. \v. u"), P("a -> b -> a"))[0]
@@ -197,9 +223,74 @@ def test_invalid_spec_raises_before_search():
 
 
 def test_cached_alpha_variant_derivation_checks(ba):
-    # \y. y and \z. z share a cache entry; the YES must still check for z
+    # \y. y and \z. z are alpha-variants; the YES must check for each binder
     ctx = {"x": P("b -> a")}
     v, d = derives(ba, ctx, T(r"(\z. z) ((\y. y) x)"), P("b -> a"), SearchBudget(4, 16))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+
+
+def test_free_variable_named_like_a_renamed_binder_is_not_bound():
+    # \x. _0 is no alpha-variant of \x. x, whatever scheme bound variables
+    # are renamed by: _0 is free and has type b, so the second argument
+    # cannot take a -> a
+    ba3 = named_theory(NamedTheory.BA, 3)
+    ctx = {"f": P("(a -> a) -> (a -> a) -> c"), "_0": P("b")}
+    m = App(App(Var("f"), Lam("x", Var("x"))), Lam("x", Var("_0")))
+    v, d = derives(ba3, ctx, m, P("c"))
+    assert v is not Verdict.YES or check_derivation(ba3, d)
+    assert v is Verdict.NO
+
+
+@pytest.mark.parametrize("n", [600, 5000])
+def test_long_variable_spine_refuted(ba, n):
+    spine = Var("x")
+    for _ in range(n):
+        spine = App(spine, Var("x"))
+    assert derives(ba, {"x": P("a")}, spine, P("a"))[0] is Verdict.NO
+
+
+def test_long_spine_derivation_checks_and_prints(bcd):
+    text = " ".join(["x"] * 5001)
+    v, d = derives(bcd, {"x": P("omega -> omega")}, T(text), P("omega -> omega"))
+    assert v is Verdict.YES
+    assert check_derivation(bcd, d)
+    data = derivation_to_json(d)
+    assert data["term"] == text
+    assert derivation_from_json(data) == d
+
+
+def test_deep_spine_derivation_checks(ba):
+    # x y ... y against a -> ... -> a -> a: one ArrowE per argument, so the
+    # derivation is as deep as the spine is long
+    n = 3000
+    t, m = Atom("a"), Var("x")
+    for _ in range(n):
+        t, m = Arrow(Atom("a"), t), App(m, Var("y"))
+    ctx = {"x": t, "y": Atom("a")}
+    v, d = derives(ba, ctx, m, Atom("a"), SearchBudget(6, n + 8))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+    # a wrong leaf under a chain of that depth is found at its full path
+    bad = make_derivation("Ax", ctx, Var("y"), P("b"))
+    for _ in range(n):
+        bad = make_derivation("Leq", ctx, Var("y"), P("b"), (bad,), (P("b"), P("b")))
+    assert derivation_error(ba, bad) == (0,) * n
+
+
+def test_many_conjuncts_introduced_on_a_loop(ba):
+    # \x. x against 300 distinct arrows t -> t takes one InterI per
+    # conjunct; a lowered recursion limit keeps the input small
+    ts, t = [], Atom("a")
+    for _ in range(300):
+        t = Arrow(Atom("b"), t)
+        ts.append(Arrow(t, t))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        v, d = derives(ba, {}, T(r"\x. x"), inter_of(ts))
+    finally:
+        sys.setrecursionlimit(limit)
     assert v is Verdict.YES
     assert check_derivation(ba, d)
 

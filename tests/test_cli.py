@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import itypes
 from itypes.cli import main
 from itypes.theory import NamedTheory, named_theory, spec_to_json
 
@@ -130,6 +134,29 @@ def test_check_variable_spine_no(capsys):
     assert out.strip() == "no"
 
 
+@pytest.mark.parametrize("n", [600, 5000])
+def test_check_long_variable_spine_no(capsys, n):
+    # x x ... x with n applications: x has no arrow head, so the first
+    # argument refutes it; nothing may recurse once per application
+    spine = " ".join(["x"] * (n + 1))
+    code, out, _ = run(capsys, "check", "--theory", "ba", "--atoms", "2", "x: a", spine, "a")
+    assert code == 1
+    assert out.strip() == "no"
+
+
+def test_check_long_spine_json(capsys):
+    spine = " ".join(["x"] * 5001)
+    code, out, _ = run(
+        capsys,
+        "check", "--theory", "bcd", "--output", "json",
+        "x: omega -> omega", spine, "omega -> omega",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "yes"
+    assert data["derivation"]["term"] == spine
+
+
 def test_check_json_derivation_roundtrips(capsys):
     from itypes.assign import check_derivation, derivation_from_json
 
@@ -232,3 +259,18 @@ def test_theory_file_search_path(tmp_path, capsys, monkeypatch):
 def test_missing_theory_file_exit_two(capsys):
     code, _, err = run(capsys, "leq", "--theory", "file:/nope.json", "a", "a")
     assert code == 2
+
+
+# ---------------------------------------------------------------- start-up
+
+
+def test_import_loads_no_dataclasses():
+    # a one-shot process pays for every module the import pulls in
+    src = str(Path(itypes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = "import sys, itypes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "[]"

@@ -6,11 +6,13 @@ The module is loaded by path (it imports only the standard library).  Of
 those 2,006 judgments, 416 were YES and 1,437 NO before head redexes were
 contracted; the other 153, listed below by index, were UNKNOWN.  A change
 may settle an UNKNOWN, but every settled verdict must stay as it was: the
-digest pins the sorted ``index verdict`` lines of the settled ones.
+digest pins the sorted ``index verdict`` lines of the settled ones.  A
+second digest pins every YES derivation, node for node, as its JSON.
 """
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from itypes import (
     SearchBudget,
     Verdict,
     check_derivation,
+    derivation_to_json,
     derives,
     named_theory,
     parse_term,
@@ -28,6 +31,8 @@ from itypes import (
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SETTLED_DIGEST = "78ccba1c8cb13f97bcc9611b1d3fe3f6de378787bebb544066b33aa31a6ac28d"
+DERIVATION_DIGEST = "be106d069aaf3657f2177bb937003572b1d6c0ea036e258aacbbba17a8257d8f"
+DERIVATIONS = 417
 WERE_UNKNOWN = frozenset((
     4, 5, 49, 57, 65, 84, 96, 97, 111, 113, 123, 125, 136, 138, 158, 173, 190,
     195, 200, 209, 215, 234, 237, 249, 259, 266, 274, 276, 281, 295, 323, 324,
@@ -73,10 +78,16 @@ def test_search_corpus_keeps_settled_verdicts():
     assert len(judgments) == 2006
     budget = SearchBudget(*wl.SEARCH_BUDGET)
     verdicts, bad = [], []
+    derivations = hashlib.sha256()
+    found = 0
     for i, (key, ctx, term, ty, want) in enumerate(judgments):
         spec = specs[key]
         v, d = derives(spec, _ctx(ctx, spec), parse_term(term), parse_type(ty, spec), budget)
         verdicts.append(v.value)
+        if d is not None:
+            found += 1
+            line = f"{i} " + json.dumps(derivation_to_json(d), sort_keys=True) + "\n"
+            derivations.update(line.encode())
         if v is Verdict.YES and not check_derivation(spec, d):
             bad.append((i, "derivation fails its checker"))
         if want is not None and v.value not in (want, "unknown"):
@@ -86,5 +97,7 @@ def test_search_corpus_keeps_settled_verdicts():
         f"{i} {v}" for i, v in enumerate(verdicts) if i not in WERE_UNKNOWN
     )
     assert hashlib.sha256(settled.encode()).hexdigest() == SETTLED_DIGEST
+    assert found == DERIVATIONS
+    assert derivations.hexdigest() == DERIVATION_DIGEST
     # contraction settles all but a handful: decided share at least 0.99
     assert verdicts.count("unknown") <= 20

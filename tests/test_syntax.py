@@ -16,7 +16,6 @@ from itypes.syntax import (
     Lam,
     Var,
     alpha_eq,
-    canonical_term,
     contract_head,
     free_vars,
     parse_term,
@@ -28,24 +27,36 @@ from itypes.syntax import (
     type_size,
 )
 
-# ---------------------------------------------------------------- types
+# ---------------------------------------------------------------- nodes
+#
+# Types and terms share one representation, so each test below takes both.
+
+_SOURCES = [
+    (parse_type, "a"),
+    (parse_type, "a -> b"),
+    (parse_type, "(a -> b) & a -> b & c"),
+    (parse_term, "x"),
+    (parse_term, r"\x. x y"),
+    (parse_term, r"(\x. x x) (\y. \z. y z)"),
+]
 
 
-@pytest.mark.parametrize("src", ["a", "a -> b", "(a -> b) & a -> b & c"])
-def test_types_are_interned(src):
-    t = parse_type(src)
-    assert parse_type(src) is t
+@pytest.mark.parametrize("parse,src", _SOURCES, ids=[src for _, src in _SOURCES])
+def test_types_are_interned(parse, src):
+    t = parse(src)
+    assert parse(src) is t
     assert copy.copy(t) is t
     assert copy.deepcopy(t) is t
     assert pickle.loads(pickle.dumps(t)) is t
 
 
 def test_unreferenced_types_are_freed():
-    t = parse_type("freed_a -> freed_b")
-    ref = weakref.ref(t)
-    del t
-    gc.collect()
-    assert ref() is None
+    for parse, src in ((parse_type, "freed_a -> freed_b"), (parse_term, r"\freed_x. freed_y")):
+        t = parse(src)
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
 
 
 def test_types_are_immutable():
@@ -55,6 +66,16 @@ def test_types_are_immutable():
     with pytest.raises(AttributeError):
         del t.cod
     assert t is Arrow(Atom("a"), Atom("b"))
+    m = parse_term(r"\x. x y")
+    with pytest.raises(AttributeError):
+        m.binder = "y"
+    with pytest.raises(AttributeError):
+        del m.body.fun
+    assert m is Lam(binder="x", body=App(fun=Var("x"), arg=Var("y")))
+    assert hash(m) == hash(Lam("x", App(Var("x"), Var("y"))))
+
+
+# ---------------------------------------------------------------- types
 
 
 @pytest.mark.parametrize(
@@ -182,6 +203,23 @@ def test_print_parse_term_roundtrip(m):
     assert parse_term(print_term(m)) == m
 
 
+def test_deep_constructed_terms_print():
+    # a left-nested spine has no nesting the parser counts, so it parses at
+    # any length; printing and hashing must not recurse on it either
+    n = 5000
+    spine = Var("x")
+    for _ in range(n):
+        spine = App(spine, Var("x"))
+    text = " ".join(["x"] * (n + 1))
+    assert print_term(spine) == text
+    assert parse_term(text) is spine
+    assert hash(spine) == hash(parse_term(text))
+    body = Var("x")
+    for _ in range(n):
+        body = Lam("x", App(Var("y"), body))
+    assert print_term(body) == "\\x. y (" * (n - 1) + "\\x. y x" + ")" * (n - 1)
+
+
 def test_free_vars():
     assert free_vars(parse_term(r"\x. x y")) == {"y"}
     assert free_vars(parse_term(r"(\x. x) x")) == {"x"}
@@ -192,12 +230,6 @@ def test_alpha_eq_renames_bound_only():
     assert alpha_eq(parse_term(r"\x. \y. x"), parse_term(r"\a. \b. a"))
     assert not alpha_eq(parse_term(r"\x. \y. x"), parse_term(r"\x. \y. y"))
     assert not alpha_eq(parse_term(r"\x. y"), parse_term(r"\x. z"))
-
-
-@given(_terms())
-def test_canonical_term_is_alpha_invariant(m):
-    assert alpha_eq(m, canonical_term(m))
-    assert canonical_term(canonical_term(m)) == canonical_term(m)
 
 
 # ---------------------------------------------------------------- substitution

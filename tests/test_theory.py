@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -7,6 +8,7 @@ from itypes.theory import (
     BA_RULES,
     NamedTheory,
     Rule,
+    TheorySpec,
     Violation,
     load_spec,
     make_spec,
@@ -117,6 +119,14 @@ def test_spec_equality_ignores_name():
     other = make_spec({"a"}, BA_RULES, name="two")
     assert plain == other
     assert hash(plain) == hash(other)
+    assert plain != make_spec({"a", "b"}, BA_RULES, name="one")
+    with pytest.raises(AttributeError):
+        plain.name = "two"
+    assert "name='one'" in repr(plain)
+    copied = pickle.loads(pickle.dumps(plain))
+    assert copied == plain and copied.name == "one"
+    rebuilt = TheorySpec(atoms=plain.atoms, rules=plain.rules, name="one")
+    assert rebuilt == plain and rebuilt.atom_equations == ()
 
 
 def test_json_omits_distinguished_atoms_from_atom_list(bcd):
