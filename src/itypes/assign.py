@@ -99,6 +99,29 @@ def make_derivation(rule, ctx, term, type_, premises=(), leq_pair=None):
     return Derivation(rule, _ctx_tuple(ctx), term, type_, tuple(premises), leq_pair)
 
 
+class _Context(dict):
+    """A context of the search: its bindings, and in ``key`` their sorted
+    (variable, type) tuple, made once with the context.  The tuple keys the
+    context's verdicts, so the same bindings made in any order share cache
+    entries, and it is the ``ctx`` of every derivation node made under the
+    context."""
+
+    __slots__ = ("key",)
+
+
+def _context(bindings, x=None, t=None) -> _Context:
+    """bindings as a search context, with x bound to t when x is given."""
+    ctx = _Context(bindings)
+    if x is not None:
+        ctx[x] = t
+    ctx.key = _ctx_tuple(ctx)
+    return ctx
+
+
+def _node(rule, ctx: _Context, term, type_, premises=(), leq_pair=None):
+    return Derivation(rule, ctx.key, term, type_, premises, leq_pair)
+
+
 def check_derivation(spec: TheorySpec, d: Derivation) -> bool:
     """True iff every node instantiates its rule schema exactly."""
     return derivation_error(spec, d) is None
@@ -114,12 +137,11 @@ def derivation_error(spec: TheorySpec, d: Derivation):
     todo = [(d, ())]
     while todo:
         d, path = todo.pop()
-        ctx = dict(d.ctx)
         match d.rule:
             case "Ax":
                 ok = (
                     isinstance(d.term, Var)
-                    and ctx.get(d.term.name) == d.type
+                    and dict(d.ctx).get(d.term.name) == d.type
                     and not d.premises
                 )
             case "AxOmega":
@@ -139,7 +161,7 @@ def derivation_error(spec: TheorySpec, d: Derivation):
                     and d.premises[0].term == d.term.body
                     and d.premises[0].type == d.type.cod
                     and dict(d.premises[0].ctx)
-                    == {**ctx, d.term.binder: d.type.dom}
+                    == {**dict(d.ctx), d.term.binder: d.type.dom}
                 )
             case "ArrowE":
                 ok = (
@@ -185,40 +207,48 @@ def derivation_error(spec: TheorySpec, d: Derivation):
 
 
 def _via_leq(ctx, term, got: Derivation, want: Type) -> Derivation:
-    if got.type == want:
+    if got.type is want:
         return got
-    return make_derivation("Leq", ctx, term, want, (got,), (got.type, want))
+    return _node("Leq", ctx, term, want, (got,), (got.type, want))
 
 
-def _retarget(d: Derivation, ctx: Basis, m: Term, hole=None) -> Derivation:
+def _retarget(d: Derivation, ctx: _Context, m: Term, hole=None) -> Derivation:
     """d, a derivation of m under another context, rebuilt under ctx.
 
     With ``hole = (x, b)``, d derives m[x := N] instead, and each free x of
-    m becomes ``Ax x: b`` weakened to the type d gives that copy of N."""
-    if hole is not None and isinstance(m, Var) and m.name == hole[0]:
-        return _via_leq(ctx, m, make_derivation("Ax", ctx, m, hole[1]), d.type)
-    match d.rule:
-        case "ArrowI":
-            (body,) = d.premises
-            if hole is not None and m.binder == hole[0]:
-                hole = None  # shadowed
-            inner = {**ctx, m.binder: d.type.dom}
-            premises = (_retarget(body, inner, m.body, hole),)
-        case "ArrowE":
-            fun, arg = d.premises
-            premises = (
-                _retarget(fun, ctx, m.fun, hole),
-                _retarget(arg, ctx, m.arg, hole),
-            )
-        case _:  # the other rules keep the subject term
-            premises = tuple(_retarget(p, ctx, m, hole) for p in d.premises)
-    return make_derivation(d.rule, ctx, m, d.type, premises, d.leq_pair)
+    m becomes ``Ax x: b`` weakened to the type d gives that copy of N.  The
+    walk keeps an explicit stack, so d's depth is bounded only by memory."""
+    out = []  # rebuilt derivations, premises in order
+    # frames (d, ctx, m, hole, done): done once d's premises are rebuilt
+    todo = [(d, ctx, m, hole, False)]
+    while todo:
+        d, ctx, m, hole, done = todo.pop()
+        if done:
+            n = len(out) - len(d.premises)
+            premises = tuple(out[n:])
+            del out[n:]
+            out.append(_node(d.rule, ctx, m, d.type, premises, d.leq_pair))
+        elif hole is not None and type(m) is Var and m.name == hole[0]:
+            out.append(_via_leq(ctx, m, _node("Ax", ctx, m, hole[1]), d.type))
+        else:
+            todo.append((d, ctx, m, hole, True))
+            if d.rule == "ArrowI":
+                if hole is not None and m.binder == hole[0]:
+                    hole = None  # shadowed
+                inner = _context(ctx, m.binder, d.type.dom)
+                todo.append((d.premises[0], inner, m.body, hole, False))
+            elif d.rule == "ArrowE":
+                fun, arg = d.premises
+                todo += ((arg, ctx, m.arg, hole, False), (fun, ctx, m.fun, hole, False))
+            else:  # the other rules keep the subject term
+                todo += ((p, ctx, m, hole, False) for p in reversed(d.premises))
+    return out.pop()
 
 
 def _spine(m: Term) -> tuple[Term, list[App]]:
     """The head of m and the applications of its spine, innermost first."""
     apps = []
-    while isinstance(m, App):
+    while type(m) is App:
         apps.append(m)
         m = m.fun
     apps.reverse()
@@ -227,20 +257,27 @@ def _spine(m: Term) -> tuple[Term, list[App]]:
 
 class _Search:
     def __init__(self, spec: TheorySpec, budget: SearchBudget):
-        if not validates_ba(spec):
-            raise UnsupportedTheory(
-                "derivation search needs the arrow-inter and eta rules"
-            )
-        spec.tables  # an invalid spec raises here, before any search
+        try:
+            tables = spec.tables  # an invalid spec raises here, before any search
+        except UnsupportedTheory:
+            if not validates_ba(spec):
+                raise UnsupportedTheory(
+                    "derivation search needs the arrow-inter and eta rules"
+                ) from None
+            raise
         self.spec = spec
         self.budget = budget
+        # the theory's constants, read once
+        self.omega = tables.omega
+        self.nu = tables.nu
+        self.equations = tables.equations
         # verdict cache: YES/NO are depth-independent, UNKNOWN remembers the
         # largest depth that failed to settle the query
         self.cache: dict = {}
 
     def run(self, ctx: Basis, m: Term, a: Type) -> tuple[Verdict, Derivation | None]:
         try:
-            return self._derive(dict(ctx), m, a, self.budget.max_depth)
+            return self._derive(_context(ctx), m, a, self.budget.max_depth)
         except RecursionError:
             # the interpreter's stack bounds the search as max_depth does;
             # nothing is cached before its subsearches return
@@ -248,7 +285,7 @@ class _Search:
 
     def _derive(self, ctx, m, a, depth):
         # terms and types are hash-consed, so the key hashes by node identity
-        key = (_ctx_tuple(ctx), m, a)
+        key = (ctx.key, m, a)
         hit = self.cache.get(key)
         if hit is not None:
             verdict, d, at_depth = hit
@@ -261,41 +298,37 @@ class _Search:
         return verdict, d
 
     def _derive_uncached(self, ctx, m, a, depth):
-        spec = self.spec
-        omega = Atom(OMEGA)
-        if spec.has_omega and leq(spec, omega, a):
-            d = make_derivation("AxOmega", ctx, m, omega)
-            return Verdict.YES, _via_leq(ctx, m, d, a)
-        if spec.has_nu and isinstance(m, Lam) and leq(spec, Atom(NU), a):
-            d = make_derivation("AxNu", ctx, m, Atom(NU))
-            return Verdict.YES, _via_leq(ctx, m, d, a)
-
-        match m:
-            case Var(x):
-                if x in ctx and leq(spec, ctx[x], a):
-                    d = make_derivation("Ax", ctx, m, ctx[x])
-                    return Verdict.YES, _via_leq(ctx, m, d, a)
-                return Verdict.NO, None
-            case Lam():
-                return self._derive_lam(ctx, m, a, depth)
-            case App():
-                return self._derive_app(ctx, m, a, depth)
+        spec, omega = self.spec, self.omega
+        if omega is not None and leq(spec, omega, a):
+            return Verdict.YES, _via_leq(ctx, m, _node("AxOmega", ctx, m, omega), a)
+        kind = type(m)
+        if kind is Var:
+            t = ctx.get(m.name)
+            if t is not None and leq(spec, t, a):
+                return Verdict.YES, _via_leq(ctx, m, _node("Ax", ctx, m, t), a)
+            return Verdict.NO, None
+        if kind is Lam:
+            nu = self.nu
+            if nu is not None and leq(spec, nu, a):
+                return Verdict.YES, _via_leq(ctx, m, _node("AxNu", ctx, m, nu), a)
+            return self._derive_lam(ctx, m, a, depth)
+        if kind is App:
+            return self._derive_app(ctx, m, a, depth)
         raise TypeError(m)
 
     # -- abstraction: decompose the target's conjuncts
 
     def _derive_lam(self, ctx, m, a, depth):
-        spec = self.spec
         results = []  # (conjunct Type, verdict, derivation)
-        for t in normalize(spec, a):
-            if isinstance(t, Arrow):
+        for t in normalize(self.spec, a):
+            if type(t) is Arrow:
                 v, d = self._lam_arrow(ctx, m, t, depth)
-            elif t.name == NU and spec.has_nu:
-                v, d = Verdict.YES, make_derivation("AxNu", ctx, m, t)
-            elif t.name == OMEGA and spec.has_omega:
-                v, d = Verdict.YES, make_derivation("AxOmega", ctx, m, t)
-            elif spec.equation_for(t.name) is not None:
-                v, d = self._lam_equation(ctx, m, t.name, depth)
+            elif t is self.nu:
+                v, d = Verdict.YES, _node("AxNu", ctx, m, t)
+            elif t is self.omega:
+                v, d = Verdict.YES, _node("AxOmega", ctx, m, t)
+            elif t.name in self.equations:
+                v, d = self._lam_equation(ctx, m, t, depth)
             else:
                 # a plain atom can never be inhabited by an abstraction
                 v, d = Verdict.NO, None
@@ -308,30 +341,27 @@ class _Search:
         return Verdict.YES, _via_leq(ctx, m, d, a)
 
     def _lam_arrow(self, ctx, m, arrow, depth):
-        inner = dict(ctx)
-        inner[m.binder] = arrow.dom
+        inner = _context(ctx, m.binder, arrow.dom)
         v, d = self._derive(inner, m.body, arrow.cod, depth - 1)
         if v is Verdict.YES:
-            return v, make_derivation("ArrowI", ctx, m, arrow, (d,))
+            return v, _node("ArrowI", ctx, m, arrow, (d,))
         return v, None
 
-    def _lam_equation(self, ctx, m, atom_name, depth):
-        spec = self.spec
-        rhs = spec.equation_for(atom_name)
+    def _lam_equation(self, ctx, m, atom, depth):
         parts = []
-        for arrow in conjuncts(rhs):
+        for arrow in conjuncts(self.equations[atom.name]):
             v, d = self._lam_arrow(ctx, m, arrow, depth)
             if v is not Verdict.YES:
                 return v, None
             parts.append((arrow, d))
         d = self._inter_intro(ctx, m, parts)
-        return Verdict.YES, _via_leq(ctx, m, d, Atom(atom_name))
+        return Verdict.YES, _via_leq(ctx, m, d, atom)
 
     def _inter_intro(self, ctx, m, parts):
         """Combine per-conjunct derivations with InterI, right-nested."""
         d = parts[-1][1]
         for t, e in reversed(parts[:-1]):
-            d = make_derivation("InterI", ctx, m, Inter(t, d.type), (e, d))
+            d = _node("InterI", ctx, m, Inter(t, d.type), (e, d))
         return d
 
     # -- application: exact spine inversion for a variable head, contraction
@@ -339,7 +369,7 @@ class _Search:
 
     def _derive_app(self, ctx, m, a, depth):
         head, apps = _spine(m)
-        if isinstance(head, Var):
+        if type(head) is Var:
             return self._invert_spine(ctx, head, apps, a, depth)
         return self._contract(ctx, apps, a, depth)
 
@@ -359,34 +389,54 @@ class _Search:
             chain.append((apps, depth))
             m, depth = contract_head(apps[-1]), depth - 1
             head, apps = _spine(m)
-            if not (apps and isinstance(head, Lam)) or depth <= 0:
+            if not (apps and type(head) is Lam) or depth <= 0:
                 break
         v, d = self._derive(ctx, m, a, depth)
         if v is Verdict.YES:
             for apps, depth in reversed(chain):
-                d = self._expand_spine(ctx, apps, len(apps) - 1, d, a, depth)
+                d = self._expand_spine(ctx, apps, d, a, depth)
                 if d is None:
                     return Verdict.UNKNOWN, None
         return v, d
 
-    def _expand_spine(self, ctx, apps, i, d, a, depth):
-        """d, a derivation of the contractum of apps[i], rebuilt for apps[i];
-        None when no type for the redex's argument is found."""
-        m = apps[i]
-        if d.rule == "AxOmega":
-            return make_derivation("AxOmega", ctx, m, d.type)
-        if i == 0:
-            return self._expand_redex(ctx, m, d, a, depth)
-        if d.rule == "ArrowE":
-            fun, arg = d.premises
-            premises = (self._expand_spine(ctx, apps, i - 1, fun, a, depth), arg)
-        else:  # Leq and InterI keep the subject term
-            premises = tuple(
-                self._expand_spine(ctx, apps, i, p, a, depth) for p in d.premises
-            )
-        if any(p is None for p in premises):
-            return None
-        return make_derivation(d.rule, ctx, m, d.type, premises, d.leq_pair)
+    def _expand_spine(self, ctx, apps, d, a, depth):
+        """d, a derivation of the contractum of apps[-1], rebuilt for
+        apps[-1]; None when no type for the redex's argument is found.
+
+        The contractum of apps[i] is the function of the contractum of
+        apps[i + 1], so an ArrowE step moves from apps[i] to apps[i - 1];
+        Leq and InterI keep the subject.  The walk keeps an explicit stack
+        and expands the premises left to right, so d's depth is bounded
+        only by memory."""
+        out = []  # expanded derivations, None for a failed one
+        # frames (d, i, done): d derives the contractum of apps[i]; done
+        # once d's premises are expanded
+        todo = [(d, len(apps) - 1, False)]
+        while todo:
+            d, i, done = todo.pop()
+            m = apps[i]
+            if done:
+                if d.rule == "ArrowE":
+                    premises = (out.pop(), d.premises[1])
+                else:
+                    n = len(out) - len(d.premises)
+                    premises = tuple(out[n:])
+                    del out[n:]
+                if any(p is None for p in premises):
+                    out.append(None)
+                else:
+                    out.append(_node(d.rule, ctx, m, d.type, premises, d.leq_pair))
+            elif d.rule == "AxOmega":
+                out.append(_node("AxOmega", ctx, m, d.type))
+            elif i == 0:
+                out.append(self._expand_redex(ctx, m, d, a, depth))
+            else:
+                todo.append((d, i, True))
+                if d.rule == "ArrowE":
+                    todo.append((d.premises[0], i - 1, False))
+                else:
+                    todo += ((p, i, False) for p in reversed(d.premises))
+        return out.pop()
 
     def _expand_redex(self, ctx, redex, d, a, depth):
         """Subject expansion: from d, a derivation of M[x := N] : T, one of
@@ -401,14 +451,13 @@ class _Search:
         or else the first candidate type the search proves for N at
         depth - 1 (the judgment's target a seeds the candidates); failing
         all of these, None."""
-        spec = self.spec
         lam, n = redex.fun, redex.arg
         x = lam.binder
         copies = {}  # T_i -> a derivation of that copy of N : T_i
         todo = [(d, lam.body)]
         while todo:
             e, t = todo.pop()
-            if isinstance(t, Var) and t.name == x:
+            if type(t) is Var and t.name == x:
                 copies.setdefault(e.type, e)
             elif e.rule == "ArrowI":
                 if t.binder != x:  # a shadowing binder hides every copy
@@ -420,20 +469,20 @@ class _Search:
         if copies:
             parts = [(t, _retarget(e, ctx, n)) for t, e in copies.items()]
             dn = self._inter_intro(ctx, n, parts)
-        elif spec.has_omega:
-            dn = make_derivation("AxOmega", ctx, n, Atom(OMEGA))
-        elif isinstance(n, Var) and n.name in ctx:
-            dn = make_derivation("Ax", ctx, n, ctx[n.name])
-        elif isinstance(n, Lam) and spec.has_nu:
-            dn = make_derivation("AxNu", ctx, n, Atom(NU))
+        elif self.omega is not None:
+            dn = _node("AxOmega", ctx, n, self.omega)
+        elif type(n) is Var and n.name in ctx:
+            dn = _node("Ax", ctx, n, ctx[n.name])
+        elif type(n) is Lam and self.nu is not None:
+            dn = _node("AxNu", ctx, n, self.nu)
         else:
             dn = self._dropped_argument(ctx, n, a, depth - 1)
             if dn is None:
                 return None
         b = dn.type
-        body = _retarget(d, {**ctx, x: b}, lam.body, (x, b))
-        fun = make_derivation("ArrowI", ctx, lam, Arrow(b, d.type), (body,))
-        return make_derivation("ArrowE", ctx, redex, d.type, (fun, dn))
+        body = _retarget(d, _context(ctx, x, b), lam.body, (x, b))
+        fun = _node("ArrowI", ctx, lam, Arrow(b, d.type), (body,))
+        return _node("ArrowE", ctx, redex, d.type, (fun, dn))
 
     def _dropped_argument(self, ctx, n, a, depth):
         """A derivation of n : B for the first candidate type B that the
@@ -467,12 +516,9 @@ class _Search:
         way.  Ni is searched at depth - (k - i + 1).  An argument the
         search cannot settle only drops a head, which weakens T_i: YES
         stays sound, NO becomes UNKNOWN."""
-        spec = self.spec
-        if head.name in ctx:
-            t = ctx[head.name]
-        elif spec.has_omega:
-            t = Atom(OMEGA)
-        else:
+        spec, omega = self.spec, self.omega
+        t = ctx.get(head.name, omega)
+        if t is None:
             return Verdict.NO, None
         settled = True
         steps = []  # per application, the (head, argument derivation) pairs kept
@@ -487,8 +533,8 @@ class _Search:
                     settled = False
             if kept:
                 t = inter_of([h.cod for h, _ in kept])
-            elif spec.has_omega:
-                t = Atom(OMEGA)
+            elif omega is not None:
+                t = omega
             else:
                 return (Verdict.NO if settled else Verdict.UNKNOWN), None
             steps.append(kept)
@@ -498,19 +544,18 @@ class _Search:
 
     def _spine_derivation(self, ctx, head, apps, steps, a):
         """The derivation of x N1 ... Nk : a that _invert_spine's steps give."""
-        spec = self.spec
         if head.name in ctx:
-            d = make_derivation("Ax", ctx, head, ctx[head.name])
+            d = _node("Ax", ctx, head, ctx[head.name])
         else:
-            d = make_derivation("AxOmega", ctx, head, Atom(OMEGA))
+            d = _node("AxOmega", ctx, head, self.omega)
         for app, kept in zip(apps, steps):
             if not kept:
-                d = make_derivation("AxOmega", ctx, app, Atom(OMEGA))
+                d = _node("AxOmega", ctx, app, self.omega)
                 continue
             da = self._inter_intro(ctx, app.arg, [(h.dom, e) for h, e in kept])
             cod = inter_of([h.cod for h, _ in kept])
             df = _via_leq(ctx, app.fun, d, Arrow(da.type, cod))
-            d = make_derivation("ArrowE", ctx, app, cod, (df, da))
+            d = _node("ArrowE", ctx, app, cod, (df, da))
         return _via_leq(ctx, apps[-1], d, a)
 
     def _candidates(self, ctx, a):
@@ -726,14 +771,31 @@ def derivation_to_json(d: Derivation) -> dict:
 
 
 def derivation_from_json(data: dict) -> Derivation:
-    leq_pair = None
-    if "leq" in data:
-        leq_pair = (parse_type(data["leq"][0]), parse_type(data["leq"][1]))
-    return Derivation(
-        data["rule"],
-        tuple(sorted((x, parse_type(t)) for x, t in data.get("ctx", {}).items())),
-        parse_term(data["term"]),
-        parse_type(data["type"]),
-        tuple(derivation_from_json(p) for p in data.get("premises", [])),
-        leq_pair,
-    )
+    out = []  # finished derivations, premises in order
+    # frames: a node's JSON, or the pair (the node without its premises,
+    # their number) once those premises are finished
+    todo = [data]
+    while todo:
+        data = todo.pop()
+        if type(data) is tuple:
+            node, n = data
+            n = len(out) - n
+            premises = tuple(out[n:])
+            del out[n:]
+            out.append(node._replace(premises=premises))
+            continue
+        leq_pair = None
+        if "leq" in data:
+            leq_pair = (parse_type(data["leq"][0]), parse_type(data["leq"][1]))
+        node = Derivation(
+            data["rule"],
+            _ctx_tuple({x: parse_type(t) for x, t in data.get("ctx", {}).items()}),
+            parse_term(data["term"]),
+            parse_type(data["type"]),
+            (),
+            leq_pair,
+        )
+        premises = data.get("premises", [])
+        todo.append((node, len(premises)))
+        todo += reversed(premises)
+    return out.pop()

@@ -220,7 +220,8 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
     """The arrows a lies below: its arrow conjuncts, the expansions of its
     equated atoms, and omega -> omega where omega-eta or omega-lazy gives it.
     Memoised in the theory's tables."""
-    table = spec.tables.heads
+    tables = spec.tables
+    table = tables.heads
     heads = table.get(a)
     if heads is None:
         found = []
@@ -228,10 +229,10 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
             if isinstance(leaf, Arrow):
                 found.append(leaf)
             elif isinstance(leaf, Atom):
-                rhs = spec.equation_for(leaf.name)
+                rhs = tables.equations.get(leaf.name)
                 if rhs is not None:
                     found.extend(conjuncts(rhs))
-        if Rule.OMEGA_ETA in spec.rules or (Rule.OMEGA_LAZY in spec.rules and found):
+        if tables.omega_eta or (tables.omega_lazy and found):
             found.append(_OMEGA_ARROW)
         heads = tuple(found)
         if len(table) >= TABLE_CAP:
@@ -243,9 +244,10 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
 def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     """Decide a <= b without building a proof.  Decisions are memoised in
     the theory's tables; the case split is the one ``_build`` follows."""
-    memo = spec.tables.leq
+    tables = spec.tables  # before the shortcut: an invalid spec raises here
     if a is b:
         return True
+    memo = tables.leq
     key = (a, b)
     ok = memo.get(key)
     if ok is not None:
@@ -253,23 +255,20 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     if isinstance(b, Inter):
         ok = leq(spec, a, b.left) and leq(spec, a, b.right)
     elif isinstance(b, Atom):
-        if spec.has_omega and b.name == OMEGA:
+        if b is tables.omega:
             ok = True
         elif b in conjuncts(a):
             ok = True
-        elif spec.has_nu and b.name == NU:
+        elif b is tables.nu:
             ok = bool(arrow_heads(spec, a))
         else:
-            rhs = spec.equation_for(b.name)
+            rhs = tables.equations.get(b.name)
             ok = rhs is not None and leq(spec, a, rhs)
     else:
         c, d = b.dom, b.cod
         heads = arrow_heads(spec, a)
-        if (
-            spec.has_omega and leq(spec, _OMEGA, d)
-            and (Rule.OMEGA_ETA in spec.rules
-                 or (Rule.OMEGA_LAZY in spec.rules and heads))
-        ):
+        # omega-eta and omega-lazy hold only with omega
+        if (tables.omega_eta or (tables.omega_lazy and heads)) and leq(spec, _OMEGA, d):
             ok = True
         else:
             # beta-soundness step: take every head whose domain absorbs c
@@ -290,7 +289,8 @@ class _Head(namedtuple("_Head", "arrow proof")):
 def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
     """``arrow_heads`` with a proof of a <= head for each.  Memoised in the
     theory's tables."""
-    table = spec.tables.head_proofs
+    tables = spec.tables
+    table = tables.head_proofs
     heads = table.get(a)
     if heads is not None:
         return heads
@@ -299,17 +299,17 @@ def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
         if isinstance(leaf, Arrow):
             found.append(_Head(leaf, proof))
         elif isinstance(leaf, Atom):
-            rhs = spec.equation_for(leaf.name)
+            rhs = tables.equations.get(leaf.name)
             if rhs is not None:
                 base = _trans(proof, Proof("eq-unfold", leaf, rhs))
                 for arr, q in _projections(rhs):
                     found.append(_Head(arr, _trans(base, q)))
     omega, oo = _OMEGA, _OMEGA_ARROW
-    if Rule.OMEGA_ETA in spec.rules:
+    if tables.omega_eta:
         found.append(
             _Head(oo, _trans(Proof("omega-top", a, omega), Proof("omega-eta", omega, oo)))
         )
-    elif Rule.OMEGA_LAZY in spec.rules and found:
+    elif tables.omega_lazy and found:
         first = found[0]
         found.append(
             _Head(oo, _trans(first.proof, Proof("omega-lazy", first.arrow, oo)))
@@ -335,32 +335,32 @@ def _build(spec: TheorySpec, a: Type, b: Type, memo: dict) -> Proof:
 
 
 def _build_uncached(spec, a, b, memo):
+    tables = spec.tables
     if isinstance(b, Inter):
         pl = _build(spec, a, b.left, memo)
         pr = _build(spec, a, b.right, memo)
         return _trans(Proof("idem", a, Inter(a, a)), _mon(pl, pr))
 
     if isinstance(b, Atom):
-        if spec.has_omega and b.name == OMEGA:
+        if b is tables.omega:
             return Proof("omega-top", a, b)
         for leaf, proof in _projections(a):
             if leaf is b:
                 return proof
-        if spec.has_nu and b.name == NU:
+        if b is tables.nu:
             h = _head_proofs(spec, a)[0]
             return _trans(h.proof, Proof("nu-top", h.arrow, b))
-        rhs = spec.equation_for(b.name)
+        rhs = tables.equations[b.name]
         return _trans(_build(spec, a, rhs, memo), Proof("eq-fold", rhs, b))
 
     c, d = b.dom, b.cod
     omega, oo = _OMEGA, _OMEGA_ARROW
     if (
-        spec.has_omega and leq(spec, omega, d)
-        and (Rule.OMEGA_ETA in spec.rules
-             or (Rule.OMEGA_LAZY in spec.rules and arrow_heads(spec, a)))
+        (tables.omega_eta or (tables.omega_lazy and arrow_heads(spec, a)))
+        and leq(spec, omega, d)
     ):
         tail = _eta(Proof("omega-top", c, omega), _build(spec, omega, d, memo))  # Ω→Ω <= c→d
-        if Rule.OMEGA_ETA in spec.rules:
+        if tables.omega_eta:
             return _trans(
                 Proof("omega-top", a, omega),
                 _trans(Proof("omega-eta", omega, oo), tail),
@@ -407,7 +407,8 @@ def normalize(spec: TheorySpec, t: Type) -> tuple[Type, ...]:
     """The canonical conjuncts of t: intersections flattened, arrow sides
     made canonical, duplicates and redundant omega dropped, sorted.
     Memoised in the theory's tables."""
-    table = spec.tables.canon
+    tables = spec.tables
+    table = tables.canon
     parts = table.get(t)
     if parts is None:
         seen = []
@@ -416,7 +417,7 @@ def normalize(spec: TheorySpec, t: Type) -> tuple[Type, ...]:
                 leaf = Arrow(canonical(spec, leaf.dom), canonical(spec, leaf.cod))
             if leaf not in seen:
                 seen.append(leaf)
-        if spec.has_omega and len(seen) > 1:
+        if tables.omega is not None and len(seen) > 1:
             seen = [c for c in seen if c is not _OMEGA]
         parts = tuple(sorted(seen, key=_conjunct_key))
         if len(table) >= TABLE_CAP:

@@ -278,26 +278,42 @@ def substitute(m: Term, x: str, n: Term) -> Term:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-
-    def go(a, b, env_a, env_b, depth):
-        match a, b:
-            case Var(x), Var(y):
-                bx, by = env_a.get(x), env_b.get(y)
-                if bx is None and by is None:
-                    return x == y
-                return bx == by
-            case Lam(x, m), Lam(y, n):
-                ea = dict(env_a)
-                eb = dict(env_b)
-                ea[x] = depth
-                eb[y] = depth
-                return go(m, n, ea, eb, depth + 1)
-            case App(f, u), App(g, v):
-                return go(f, g, env_a, env_b, depth) and go(u, v, env_a, env_b, depth)
-        return False
-
-    return go(a, b, {}, {}, 0)
+    """Equality up to consistent renaming of bound variables.  Walks an
+    explicit stack, so depth is bounded only by memory."""
+    # a bound variable is known by the level of its binder; each side maps a
+    # name to the levels of the binders of that name in scope, innermost last
+    scopes_a: dict[str, list[int]] = {}
+    scopes_b: dict[str, list[int]] = {}
+    binders = []  # the binder pairs in scope, innermost last
+    todo = [(a, b)]  # None marks leaving the innermost binder pair
+    while todo:
+        pair = todo.pop()
+        if pair is None:
+            x, y = binders.pop()
+            scopes_a[x].pop()
+            scopes_b[y].pop()
+            continue
+        a, b = pair
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Var:
+            la, lb = scopes_a.get(a.name), scopes_b.get(b.name)
+            la = la[-1] if la else None
+            lb = lb[-1] if lb else None
+            if la != lb or (la is None and a.name != b.name):
+                return False
+        elif kind is Lam:
+            level = len(binders)
+            scopes_a.setdefault(a.binder, []).append(level)
+            scopes_b.setdefault(b.binder, []).append(level)
+            binders.append((a.binder, b.binder))
+            todo += (None, (a.body, b.body))
+        elif kind is App:
+            todo += ((a.arg, b.arg), (a.fun, b.fun))
+        else:
+            return False
+    return True
 
 
 def contract_head(m: Term) -> Term | None:

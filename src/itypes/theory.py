@@ -66,17 +66,29 @@ class TheoryTables:
     canonical types of that universe; ``in_theory`` holds the types whose
     atoms the search has found in the theory.  Types are hash-consed, so the
     tables key on node identity.
+
+    The theory's constants are read once, here, for the decision and the
+    search: ``omega`` and ``nu`` are the nodes of those atoms, or None in a
+    theory without them; ``equations`` maps an equated atom's name to its
+    right side; ``omega_eta`` and ``omega_lazy`` say whether the theory has
+    those rules.
     """
 
-    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools", "in_theory")
+    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools", "in_theory",
+                 "omega", "nu", "equations", "omega_eta", "omega_lazy")
 
-    def __init__(self):
+    def __init__(self, spec: TheorySpec):
         self.leq: dict[tuple[Type, Type], bool] = {}
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
         self.head_proofs: dict[Type, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}
         self.pools: dict[tuple[frozenset[str], int], tuple[Type, ...]] = {}
         self.in_theory: set[Type] = set()
+        self.omega = Atom(OMEGA) if spec.has_omega else None
+        self.nu = Atom(NU) if spec.has_nu else None
+        self.equations: dict[str, Type] = dict(spec.atom_equations)
+        self.omega_eta = Rule.OMEGA_ETA in spec.rules
+        self.omega_lazy = Rule.OMEGA_LAZY in spec.rules
 
 
 class TheorySpec:
@@ -150,7 +162,7 @@ class TheorySpec:
             raise UnsupportedTheory(
                 "the subtype decision procedure needs the arrow-inter and eta rules"
             )
-        return TheoryTables()
+        return TheoryTables(self)
 
     @cached_property
     def rule_names(self) -> frozenset[str]:

@@ -16,6 +16,7 @@ from itypes.assign import (
     hindley_rule_check,
     infer_types,
     make_derivation,
+    _Search,
 )
 from itypes.errors import UnknownAtomError, UnsupportedTheory
 from itypes.laws import (
@@ -278,6 +279,37 @@ def test_deep_spine_derivation_checks(ba):
     assert derivation_error(ba, bad) == (0,) * n
 
 
+@pytest.mark.parametrize("redex_at", ["argument", "head"])
+def test_deep_derivation_expanded_through_a_redex(ba, redex_at):
+    # subject expansion rebuilds the contractum's derivation, as deep as the
+    # spine is long: (\z. z) (x y ... y) retargets the argument's
+    # derivation, and (\z. z) x y ... y walks the spine's ArrowE chain
+    n = 3000
+    t, spine, m = Atom("a"), Var("x"), App(Lam("z", Var("z")), Var("x"))
+    for _ in range(n):
+        t, spine, m = Arrow(Atom("a"), t), App(spine, Var("y")), App(m, Var("y"))
+    if redex_at == "argument":
+        m = App(Lam("z", Var("z")), spine)
+    ctx = {"x": t, "y": Atom("a")}
+    v, d = derives(ba, ctx, m, Atom("a"), SearchBudget(6, n + 8))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+
+
+def test_context_order_shares_a_cache_entry(ba):
+    # the same bindings made in another order key the same verdicts
+    search = _Search(ba, SMALL)
+    m, a = T(r"\z. x (y z)"), P("c -> b")
+    v, d = search.run({"x": P("a -> b"), "y": P("c -> a")}, m, a)
+    entries = len(search.cache)
+    assert v is Verdict.YES and entries > 1
+    v2, d2 = search.run({"y": P("c -> a"), "x": P("a -> b")}, m, a)
+    assert v2 is Verdict.YES
+    assert len(search.cache) == entries
+    assert d2 == d
+    assert check_derivation(ba, d2)
+
+
 def test_many_conjuncts_introduced_on_a_loop(ba):
     # \x. x against 300 distinct arrows t -> t takes one InterI per
     # conjunct; a lowered recursion limit keeps the input small
@@ -535,6 +567,23 @@ def test_derivation_json_roundtrip(ba):
     back = derivation_from_json(data)
     assert back == d
     assert check_derivation(ba, back)
+
+
+def test_deep_derivation_json_roundtrip(ba):
+    # 3,000 Leq steps over one Ax leaf, rebuilt from JSON on an explicit stack
+    n = 3000
+    ctx = {"x": P("a")}
+    d = make_derivation("Ax", ctx, Var("x"), P("a"))
+    for _ in range(n):
+        d = make_derivation("Leq", ctx, Var("x"), P("a"), (d,), (P("a"), P("a")))
+    back = derivation_from_json(derivation_to_json(d))
+    assert check_derivation(ba, back)
+    # compared level by level: == on the tuples would recurse
+    for _ in range(n + 1):
+        assert back[:4] == d[:4] and back.leq_pair == d.leq_pair
+        assert len(back.premises) == len(d.premises)
+        if d.premises:
+            (back,), (d,) = back.premises, d.premises
 
 
 def test_derivation_json_has_documented_shape(ba):

@@ -232,6 +232,21 @@ def test_alpha_eq_renames_bound_only():
     assert not alpha_eq(parse_term(r"\x. y"), parse_term(r"\x. z"))
 
 
+def test_alpha_eq_on_deep_abstraction_chains():
+    n = 5000
+
+    def chain(binders, var):
+        t = Var(var)
+        for i in range(n):
+            t = Lam(binders[i % 2], t)
+        return t
+
+    # the variable is bound by the innermost binder in the first two chains
+    # and by the one around it in the third
+    assert alpha_eq(chain("xy", "x"), chain("uv", "u"))
+    assert not alpha_eq(chain("xy", "x"), chain("uv", "v"))
+
+
 # ---------------------------------------------------------------- substitution
 
 
