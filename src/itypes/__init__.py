@@ -2,148 +2,106 @@
 checkable proof traces, type assignment with bounded search, finitely
 generated filters, and theory classification."""
 
-from .errors import (
-    EmptyEnvFilter,
-    ItypesError,
-    ParseError,
-    ResourceLimit,
-    UnknownAtomError,
-    UnsupportedTheory,
-)
-from .syntax import (
-    App,
-    Arrow,
-    Atom,
-    Inter,
-    Lam,
-    NU,
-    OMEGA,
-    Term,
-    Type,
-    Var,
-    alpha_eq,
-    parse_term,
-    parse_type,
-    print_term,
-    print_type,
-)
-from .theory import (
-    NamedTheory,
-    Rule,
-    TheorySpec,
-    load_spec,
-    make_spec,
-    named_theory,
-    spec_from_json,
-    spec_to_json,
-    validate,
-)
-from .subtype import (
-    OracleResult,
-    Proof,
-    canonical,
-    check_proof,
-    enumerate_types,
-    eq,
-    leq,
-    leq_oracle,
-    leq_trace,
-    normalize,
-)
-from .assign import (
-    Derivation,
-    SearchBudget,
-    Verdict,
-    check_derivation,
-    derivation_from_json,
-    derivation_to_json,
-    derives,
-    hindley_rule_check,
-    infer_types,
-)
-from .filters import (
-    FiniteFilter,
-    apply,
-    interpret_member,
-    make_abstraction_filter,
-    member,
-    phi_membership,
-    prop_simple_check,
-    up,
-)
-from .classify import (
-    AdequacyReport,
-    adequacy_report,
-    fun_predicate,
-    is_f_type_theory,
-    is_natural,
-    is_strict,
-)
+import importlib
+
+# The public names by home module.  Each module loads on first use of one of
+# its names (PEP 562), so a caller pays only for the modules it touches:
+# ``from itypes import parse_type, named_theory`` loads syntax and theory.
+_EXPORTS = {
+    "errors": (
+        "EmptyEnvFilter",
+        "ItypesError",
+        "ParseError",
+        "ResourceLimit",
+        "UnknownAtomError",
+        "UnsupportedTheory",
+    ),
+    "syntax": (
+        "App",
+        "Arrow",
+        "Atom",
+        "Inter",
+        "Lam",
+        "NU",
+        "OMEGA",
+        "Term",
+        "Type",
+        "Var",
+        "alpha_eq",
+        "parse_term",
+        "parse_type",
+        "print_term",
+        "print_type",
+    ),
+    "theory": (
+        "NamedTheory",
+        "Rule",
+        "TheorySpec",
+        "load_spec",
+        "make_spec",
+        "named_theory",
+        "spec_from_json",
+        "spec_to_json",
+        "validate",
+    ),
+    "subtype": (
+        "OracleResult",
+        "Proof",
+        "canonical",
+        "check_proof",
+        "enumerate_types",
+        "eq",
+        "leq",
+        "leq_oracle",
+        "leq_trace",
+        "normalize",
+    ),
+    "assign": (
+        "Derivation",
+        "SearchBudget",
+        "Verdict",
+        "check_derivation",
+        "derivation_from_json",
+        "derivation_to_json",
+        "derives",
+        "hindley_rule_check",
+        "infer_types",
+    ),
+    "filters": (
+        "FiniteFilter",
+        "apply",
+        "interpret_member",
+        "make_abstraction_filter",
+        "member",
+        "phi_membership",
+        "prop_simple_check",
+        "up",
+    ),
+    "classify": (
+        "AdequacyReport",
+        "adequacy_report",
+        "fun_predicate",
+        "is_f_type_theory",
+        "is_natural",
+        "is_strict",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdequacyReport",
-    "App",
-    "Arrow",
-    "Atom",
-    "Derivation",
-    "EmptyEnvFilter",
-    "FiniteFilter",
-    "Inter",
-    "ItypesError",
-    "Lam",
-    "NU",
-    "NamedTheory",
-    "OMEGA",
-    "OracleResult",
-    "ParseError",
-    "Proof",
-    "ResourceLimit",
-    "Rule",
-    "SearchBudget",
-    "Term",
-    "TheorySpec",
-    "Type",
-    "UnknownAtomError",
-    "UnsupportedTheory",
-    "Var",
-    "Verdict",
-    "adequacy_report",
-    "alpha_eq",
-    "apply",
-    "canonical",
-    "check_derivation",
-    "check_proof",
-    "derivation_from_json",
-    "derivation_to_json",
-    "derives",
-    "enumerate_types",
-    "eq",
-    "fun_predicate",
-    "hindley_rule_check",
-    "infer_types",
-    "interpret_member",
-    "is_f_type_theory",
-    "is_natural",
-    "is_strict",
-    "leq",
-    "leq_oracle",
-    "leq_trace",
-    "load_spec",
-    "make_abstraction_filter",
-    "make_spec",
-    "member",
-    "named_theory",
-    "normalize",
-    "parse_term",
-    "parse_type",
-    "phi_membership",
-    "print_term",
-    "print_type",
-    "prop_simple_check",
-    "spec_from_json",
-    "spec_to_json",
-    "up",
-    "validate",
-]
+__all__ = sorted(_HOME)

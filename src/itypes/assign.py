@@ -752,6 +752,14 @@ def hindley_rule_check(
 
 
 def derivation_to_json(d: Derivation) -> dict:
+    printed = {}  # type or term -> text, so each distinct node is printed once
+
+    def show(node, printer=print_type):
+        text = printed.get(node)
+        if text is None:
+            text = printed[node] = printer(node)
+        return text
+
     root = {}
     todo = [(d, root)]  # an explicit stack of derivations and their empty dicts
     while todo:
@@ -759,13 +767,13 @@ def derivation_to_json(d: Derivation) -> dict:
         premises = [{} for _ in d.premises]
         data.update(
             rule=d.rule,
-            ctx={x: print_type(t) for x, t in d.ctx},
-            term=print_term(d.term),
-            type=print_type(d.type),
+            ctx={x: show(t) for x, t in d.ctx},
+            term=show(d.term, print_term),
+            type=show(d.type),
             premises=premises,
         )
         if d.leq_pair is not None:
-            data["leq"] = [print_type(d.leq_pair[0]), print_type(d.leq_pair[1])]
+            data["leq"] = [show(d.leq_pair[0]), show(d.leq_pair[1])]
         todo += zip(d.premises, premises)
     return root
 

@@ -43,24 +43,19 @@ def _resolve_theory(name: str, extra_atoms: int):
     return named_theory(NamedTheory(name.lower()), extra_atoms)
 
 
-def _parse_ctx(spec, text: str):
-    ctx = {}
+def _parse_bindings(spec, text: str, sep: str, what: str) -> dict:
+    """The comma-separated ``var<sep>type`` entries of text; a variable
+    bound twice is an error, not a silent replacement."""
+    out = {}
     for entry in filter(None, (e.strip() for e in text.split(","))):
-        if ":" not in entry:
-            raise ItypesError(f"bad context entry {entry!r}, expected var:type")
-        x, t = entry.split(":", 1)
-        ctx[x.strip()] = parse_type(t, spec)
-    return ctx
-
-
-def _parse_env(spec, text: str):
-    env = {}
-    for entry in filter(None, (e.strip() for e in text.split(","))):
-        if "=" not in entry:
-            raise ItypesError(f"bad env entry {entry!r}, expected var=type")
-        x, t = entry.split("=", 1)
-        env[x.strip()] = FiniteFilter(parse_type(t, spec))
-    return env
+        if sep not in entry:
+            raise ItypesError(f"bad {what} entry {entry!r}, expected var{sep}type")
+        x, t = entry.split(sep, 1)
+        x = x.strip()
+        if x in out:
+            raise ItypesError(f"variable {x!r} is bound twice in the {what}")
+        out[x] = parse_type(t, spec)
+    return out
 
 
 def _emit(args, text_line: str, payload):
@@ -100,7 +95,7 @@ def _cmd_leq(args, spec, budget) -> int:
 
 
 def _cmd_check(args, spec, budget) -> int:
-    ctx = _parse_ctx(spec, args.ctx)
+    ctx = _parse_bindings(spec, args.ctx, ":", "context")
     m = parse_term(args.term)
     a = parse_type(args.type, spec)
     v, d = derives(spec, ctx, m, a, budget)
@@ -118,7 +113,7 @@ def _cmd_check(args, spec, budget) -> int:
 def _cmd_infer(args, spec, budget) -> int:
     from .assign import infer_types
 
-    ctx = _parse_ctx(spec, args.ctx)
+    ctx = _parse_bindings(spec, args.ctx, ":", "context")
     m = parse_term(args.term)
     found = sorted(
         infer_types(spec, ctx, m, args.size, spec.atoms, budget),
@@ -130,7 +125,10 @@ def _cmd_infer(args, spec, budget) -> int:
 
 
 def _cmd_interp(args, spec, budget) -> int:
-    env = _parse_env(spec, args.env)
+    env = {
+        x: FiniteFilter(t)
+        for x, t in _parse_bindings(spec, args.env, "=", "env").items()
+    }
     m = parse_term(args.term)
     a = parse_type(args.type, spec)
     v = interpret_member(spec, m, env, a, budget)

@@ -151,14 +151,20 @@ def check_proof(spec: TheorySpec, p: Proof) -> bool:
 
 
 def proof_to_json(p: Proof) -> dict:
+    printed = {}  # type -> text, so each distinct type is printed once
+
+    def show(t):
+        text = printed.get(t)
+        if text is None:
+            text = printed[t] = print_type(t)
+        return text
+
     root = {}
     todo = [(p, root)]  # an explicit stack of proofs and their empty dicts
     while todo:
         p, out = todo.pop()
         premises = [{} for _ in p.premises]
-        out.update(
-            rule=p.rule, lhs=print_type(p.lhs), rhs=print_type(p.rhs), premises=premises
-        )
+        out.update(rule=p.rule, lhs=show(p.lhs), rhs=show(p.rhs), premises=premises)
         todo += zip(p.premises, premises)
     return root
 

@@ -1,13 +1,15 @@
 """ASTs, parsing and printing for lambda terms and intersection types.
 
-Surface syntax is plain ASCII: ``\\x. M`` for abstraction, ``->`` for the
-function arrow, ``&`` for intersection, ``omega`` and ``nu`` for the two
-distinguished atoms.  ``&`` binds tighter than ``->``; ``->`` associates to
-the right; application associates to the left.
+The symbols are ASCII: ``\\x. M`` for abstraction, ``->`` for the function
+arrow, ``&`` for intersection; ``omega`` and ``nu`` are the two distinguished
+atoms, and an identifier is a letter followed by letters, digits or ``_``.
+``&`` binds tighter than ``->``; ``->`` associates to the right; ``&`` and
+application associate to the left.
 """
 
 from __future__ import annotations
 
+import re
 import weakref
 
 from .errors import ParseError, UnknownAtomError
@@ -332,150 +334,129 @@ def contract_head(m: Term) -> Term | None:
     return c
 
 
-# ---------------------------------------------------------------- lexer
+# ---------------------------------------------------------------- parsers
 
-# The parsers recurse once per level of nesting, where a level is a
-# parenthesis, a right-nested ``->`` or a ``\x.``.  Input nested deeper than
-# this raises ParseError.  A parenthesis costs three stack frames, so the
-# limit fires well before the interpreter's default recursion limit of 1000.
+# Input nested deeper than this raises ParseError, where a level is a
+# parenthesis, a right-nested ``->`` or a ``\x.``.  The parsers keep an
+# explicit stack, so the limit guards no recursion: it bounds the input, and
+# such input stays an error (exit 2 from the CLI) at any depth.
 MAX_NESTING = 200
 
 _SYMBOLS = ("->", "\\", ".", "(", ")", "&")
 
-
-def _tokenize(src: str):
-    toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("ident", src[i:j], i))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append((sym, sym, i))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("eof", "", n))
-    return toks
+# A token is an identifier run, a symbol or any other single non-space
+# character, which is an error; whitespace between tokens is skipped.  ``\w``
+# is exactly str.isalnum or "_", and the first character of an identifier
+# must pass str.isalpha, which the parsers check as they read each token.
+_TOKEN = re.compile(r"\w+|->|[\\.()&]|\S")
+_tokens = _TOKEN.findall
 
 
-class _Parser:
-    def __init__(self, src):
-        self.toks = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], expected=kind)
-        return tok
-
-    def done(self):
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2], expected="end of input")
-
-    def check_nesting(self, depth):
-        if depth > MAX_NESTING:
-            raise ParseError(
-                f"nesting deeper than MAX_NESTING = {MAX_NESTING}", self.peek()[2]
-            )
-
-
-def parse_term(src: str) -> Term:
-    """Parse ``term ::= lam | app``; application is left-associative and a
-    lambda body extends as far right as possible."""
-    p = _Parser(src)
-    t = _term(p, 0)
-    p.done()
-    return t
-
-
-def _term(p, depth):
-    p.check_nesting(depth)
-    if p.peek()[0] == "\\":
-        p.next()
-        binder = p.expect("ident")[1]
-        p.expect(".")
-        return Lam(binder, _term(p, depth + 1))
-    return _app(p, depth)
-
-
-def _app(p, depth):
-    t = _atom_term(p, depth)
-    while p.peek()[0] in ("ident", "("):
-        t = App(t, _atom_term(p, depth))
-    return t
-
-
-def _atom_term(p, depth):
-    kind, value, offset = p.next()
-    if kind == "ident":
-        return Var(value)
-    if kind == "(":
-        t = _term(p, depth + 1)
-        p.expect(")")
-        return t
-    raise ParseError(f"unexpected {value or 'end of input'!r}", offset, expected="term")
+def _fail(src: str, k: int, expected: str | None):
+    """Raise the ParseError for token k of src, where k past the last token
+    is the end of input and ``expected=None`` means the nesting limit.  Only
+    a failure needs offsets, so they are found here by scanning again.  A
+    bad character anywhere in src is reported first, before any error of the
+    grammar."""
+    spans = [(m.group(), m.start()) for m in _TOKEN.finditer(src)]
+    for tok, at in spans:
+        if tok not in _SYMBOLS and not tok[0].isalpha():
+            raise ParseError(f"unexpected character {tok[0]!r}", at)
+    tok, at = spans[k] if k < len(spans) else ("", len(src))
+    if expected is None:
+        raise ParseError(f"nesting deeper than MAX_NESTING = {MAX_NESTING}", at)
+    raise ParseError(f"unexpected {tok or 'end of input'!r}", at, expected=expected)
 
 
 def parse_type(src: str, spec=None) -> Type:
     """Parse a type; when ``spec`` is given, every atom must belong to its
-    constant set."""
-    p = _Parser(src)
-    t = _type(p, 0)
-    p.done()
+    constant set.  One pass over the tokens, with an explicit stack."""
+    toks = _tokens(src)
+    stack = []  # ("(", the intersection before it) and ("->", domain) frames
+    t = None  # the intersection being read
+    prim = True  # the next token must begin an atom or a parenthesis
+    for i, tok in enumerate(toks):
+        if prim:
+            if tok[0].isalpha():
+                t = Atom(tok) if t is None else Inter(t, Atom(tok))
+                prim = False
+            elif tok == "(":
+                stack.append(("(", t))
+                t = None
+                if len(stack) > MAX_NESTING:
+                    _fail(src, i + 1, None)
+            else:
+                _fail(src, i, "type")
+        elif tok == "&":
+            prim = True
+        elif tok == "->":
+            stack.append(("->", t))
+            t, prim = None, True
+            if len(stack) > MAX_NESTING:
+                _fail(src, i + 1, None)
+        else:  # the type ends: only a ')' that closes a parenthesis may follow
+            while stack and stack[-1][0] == "->":
+                t = Arrow(stack.pop()[1], t)
+            if tok != ")" or not stack:
+                _fail(src, i, ")" if stack else "end of input")
+            left = stack.pop()[1]
+            t = t if left is None else Inter(left, t)
+    if prim:
+        _fail(src, len(toks), "type")
+    while stack and stack[-1][0] == "->":
+        t = Arrow(stack.pop()[1], t)
+    if stack:
+        _fail(src, len(toks), ")")
     if spec is not None:
-        for name in sorted(type_atoms(t)):
-            if name not in spec.atoms:
-                raise UnknownAtomError(name)
+        unknown = set(toks).difference(spec.atoms, _SYMBOLS)
+        if unknown:
+            raise UnknownAtomError(min(unknown))
     return t
 
 
-def _type(p, depth):
-    p.check_nesting(depth)
-    left = _inter(p, depth)
-    if p.peek()[0] == "->":
-        p.next()
-        return Arrow(left, _type(p, depth + 1))
-    return left
-
-
-def _inter(p, depth):
-    t = _prim(p, depth)
-    while p.peek()[0] == "&":
-        p.next()
-        t = Inter(t, _prim(p, depth))
+def parse_term(src: str) -> Term:
+    """Parse ``term ::= \\x. term | app``; application is left-associative
+    and an abstraction's body extends as far right as possible.  One pass
+    over the tokens, with an explicit stack."""
+    toks = _tokens(src)
+    end = (len(toks), "")  # the end of input, as an enumerated token
+    stack = []  # ("(", the application before it) and ("\\", binder) frames
+    t = None  # the application being read; None at the start of a term
+    tokens = enumerate(toks)
+    for i, tok in tokens:
+        if tok[0].isalpha():
+            t = Var(tok) if t is None else App(t, Var(tok))
+        elif tok == "(":
+            stack.append(("(", t))
+            t = None
+            if len(stack) > MAX_NESTING:
+                _fail(src, i + 1, None)
+        elif t is None:  # only a term's start may be an abstraction
+            if tok != "\\":
+                _fail(src, i, "term")
+            i, binder = next(tokens, end)
+            if not binder[:1].isalpha():
+                _fail(src, i, "ident")
+            i, dot = next(tokens, end)
+            if dot != ".":
+                _fail(src, i, ".")
+            stack.append(("\\", binder))
+            if len(stack) > MAX_NESTING:
+                _fail(src, i + 1, None)
+        else:  # the term ends: only a ')' that closes a parenthesis may follow
+            while stack and stack[-1][0] == "\\":
+                t = Lam(stack.pop()[1], t)
+            if tok != ")" or not stack:
+                _fail(src, i, ")" if stack else "end of input")
+            left = stack.pop()[1]
+            t = t if left is None else App(left, t)
+    if t is None:
+        _fail(src, len(toks), "term")
+    while stack and stack[-1][0] == "\\":
+        t = Lam(stack.pop()[1], t)
+    if stack:
+        _fail(src, len(toks), ")")
     return t
-
-
-def _prim(p, depth):
-    kind, value, offset = p.next()
-    if kind == "ident":
-        return Atom(value)
-    if kind == "(":
-        t = _type(p, depth + 1)
-        p.expect(")")
-        return t
-    raise ParseError(f"unexpected {value or 'end of input'!r}", offset, expected="type")
 
 
 # ---------------------------------------------------------------- printers

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -199,6 +200,24 @@ def test_interp_bad_env_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "x: a, x: b", "x", "a"),
+        ("check", "x: a, y: b, x : a", "x", "a"),
+        ("infer", "x: a, x: b", "x"),
+        ("interp", "x=a, x=b", "x", "a"),
+    ],
+    ids=["check", "check-same-type", "infer", "interp"],
+)
+def test_variable_bound_twice_exit_two(capsys, argv):
+    cmd, *rest = argv
+    code, out, err = run(capsys, cmd, "--theory", "ba", "--atoms", "2", *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'x' is bound twice" in err
+
+
 # ---------------------------------------------------------------- classify / laws
 
 
@@ -264,13 +283,38 @@ def test_missing_theory_file_exit_two(capsys):
 # ---------------------------------------------------------------- start-up
 
 
-def test_import_loads_no_dataclasses():
-    # a one-shot process pays for every module the import pulls in
+def _probe(code: str) -> str:
+    """The standard output of code run in a fresh interpreter."""
     src = str(Path(itypes.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    probe = "import sys, itypes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.strip()
+
+
+def test_import_loads_no_dataclasses():
+    # a one-shot process pays for every module the import pulls in
+    probe = "import sys, itypes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _probe(probe) == "[]"
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m.startswith('itypes.')))"
+
+
+def test_import_loads_no_submodule():
+    assert _probe(f"import sys, itypes; {_LOADED}") == "[]"
+
+
+def test_exports_load_their_home_modules_only():
+    probe = f"import sys; from itypes import parse_type, named_theory; {_LOADED}"
+    assert _probe(probe) == "['itypes.errors', 'itypes.syntax', 'itypes.theory']"
+
+
+def test_every_export_resolves_to_its_home_object():
+    assert set(itypes.__all__) <= set(dir(itypes))
+    for name in itypes.__all__:
+        home = importlib.import_module(f"itypes.{itypes._HOME[name]}")
+        assert getattr(itypes, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        itypes.no_such_name

@@ -124,6 +124,89 @@ def test_nesting_beyond_limit_is_a_parse_error(parse, nest):
         parse(nest(3000))
 
 
+# The parser's contract: the tree of each input, or its error's text,
+# offset and expected token.  A bad character anywhere in the input is
+# reported before any error of the grammar.
+_CONTRACT = [
+    (parse_type, "a²", Atom("a²")),
+    (parse_type, "é -> ß", Arrow(Atom("é"), Atom("ß"))),
+    (parse_type, " a_1\t->\n(b) ", Arrow(Atom("a_1"), Atom("b"))),
+    (parse_type, "a & (b -> c) & d -> e",
+     Arrow(Inter(Inter(Atom("a"), Arrow(Atom("b"), Atom("c"))), Atom("d")), Atom("e"))),
+    (parse_type, "(a -> b) -> (c)", Arrow(Arrow(Atom("a"), Atom("b")), Atom("c"))),
+    (parse_term, r"\x.\y.x", Lam("x", Lam("y", Var("x")))),
+    (parse_term, r"f (\x. x) y", App(App(Var("f"), Lam("x", Var("x"))), Var("y"))),
+    (parse_term, r"(\x. x y) z", App(Lam("x", App(Var("x"), Var("y"))), Var("z"))),
+    (parse_term, r"x (y z) (\w. w)",
+     App(App(Var("x"), App(Var("y"), Var("z"))), Lam("w", Var("w")))),
+    (parse_type, "a ->", ("at offset 4: unexpected 'end of input' (expected type)", 4, "type")),
+    (parse_type, "(a -> b", ("at offset 7: unexpected 'end of input' (expected ))", 7, ")")),
+    (parse_type, "a b", ("at offset 2: unexpected 'b' (expected end of input)", 2, "end of input")),
+    (parse_type, "a - b", ("at offset 2: unexpected character '-'", 2, None)),
+    (parse_type, ")", ("at offset 0: unexpected ')' (expected type)", 0, "type")),
+    (parse_type, "", ("at offset 0: unexpected 'end of input' (expected type)", 0, "type")),
+    (parse_type, "a)", ("at offset 1: unexpected ')' (expected end of input)", 1, "end of input")),
+    (parse_type, "(a b)", ("at offset 3: unexpected 'b' (expected ))", 3, ")")),
+    (parse_type, "()", ("at offset 1: unexpected ')' (expected type)", 1, "type")),
+    (parse_type, "a -> -> b", ("at offset 5: unexpected '->' (expected type)", 5, "type")),
+    (parse_type, "a & & b", ("at offset 4: unexpected '&' (expected type)", 4, "type")),
+    (parse_type, r"a -> \x", ("at offset 5: unexpected '\\\\' (expected type)", 5, "type")),
+    (parse_type, "²a", ("at offset 0: unexpected character '²'", 0, None)),
+    (parse_type, "_a", ("at offset 0: unexpected character '_'", 0, None)),
+    (parse_type, "a -> 1", ("at offset 5: unexpected character '1'", 5, None)),
+    (parse_type, ") a -", ("at offset 4: unexpected character '-'", 4, None)),
+    (parse_type, "a > b", ("at offset 2: unexpected character '>'", 2, None)),
+    (parse_term, r"\x x", ("at offset 3: unexpected 'x' (expected .)", 3, ".")),
+    (parse_term, r"\. x", ("at offset 1: unexpected '.' (expected ident)", 1, "ident")),
+    (parse_term, "\\", ("at offset 1: unexpected 'end of input' (expected ident)", 1, "ident")),
+    (parse_term, r"f \x. x", ("at offset 2: unexpected '\\\\' (expected end of input)", 2, "end of input")),
+    (parse_term, "\\x.", ("at offset 3: unexpected 'end of input' (expected term)", 3, "term")),
+    (parse_term, "x (y", ("at offset 4: unexpected 'end of input' (expected ))", 4, ")")),
+    (parse_term, "", ("at offset 0: unexpected 'end of input' (expected term)", 0, "term")),
+    (parse_term, ")", ("at offset 0: unexpected ')' (expected term)", 0, "term")),
+    (parse_term, "x y)", ("at offset 3: unexpected ')' (expected end of input)", 3, "end of input")),
+    (parse_term, "x -> y", ("at offset 2: unexpected '->' (expected end of input)", 2, "end of input")),
+    (parse_term, r"(\x. x .)", ("at offset 7: unexpected '.' (expected ))", 7, ")")),
+    (parse_term, r"\x. (", ("at offset 5: unexpected 'end of input' (expected term)", 5, "term")),
+    (parse_term, r"x \1. y", ("at offset 3: unexpected character '1'", 3, None)),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,src,want", _CONTRACT, ids=[f"{p.__name__}:{s!r}" for p, s, _ in _CONTRACT]
+)
+def test_parser_contract(parse, src, want):
+    if not isinstance(want, tuple):
+        assert parse(src) is want
+        return
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    e = info.value
+    assert (str(e), e.offset, e.expected) == want
+
+
+@pytest.mark.parametrize(
+    "parse,nest,offset",
+    [
+        # the offset of the first token inside the level past the limit
+        (parse_type, lambda n: "(" * n + "a" + ")" * n, MAX_NESTING + 1),
+        (parse_type, lambda n: "a -> " * n + "a", 5 * (MAX_NESTING + 1)),
+        (parse_term, lambda n: "(" * n + "x" + ")" * n, MAX_NESTING + 1),
+        (parse_term, lambda n: "\\x. " * n + "x", 4 * (MAX_NESTING + 1)),
+    ],
+)
+def test_nesting_error_offset(parse, nest, offset):
+    for n in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError) as info:
+            parse(nest(n))
+        e = info.value
+        assert (str(e), e.offset, e.expected) == (
+            f"at offset {offset}: nesting deeper than MAX_NESTING = {MAX_NESTING}",
+            offset,
+            None,
+        )
+
+
 def test_parse_type_checks_atoms_against_spec(ba):
     assert parse_type("a -> b", ba) == Arrow(Atom("a"), Atom("b"))
     with pytest.raises(UnknownAtomError):
