@@ -22,7 +22,7 @@ from .classify import adequacy_report
 from .errors import ItypesError, ResourceLimit
 from .filters import FiniteFilter, interpret_member
 from .subtype import leq, leq_trace, proof_to_json
-from .syntax import parse_term, parse_type, print_type
+from .syntax import Var, parse_term, parse_type, print_type
 from .theory import NamedTheory, load_spec, named_theory
 
 _VERDICT_EXIT = {Verdict.YES: 0, Verdict.NO: 1, Verdict.UNKNOWN: 3}
@@ -44,18 +44,34 @@ def _resolve_theory(name: str, extra_atoms: int):
 
 
 def _parse_bindings(spec, text: str, sep: str, what: str) -> dict:
-    """The comma-separated ``var<sep>type`` entries of text; a variable
-    bound twice is an error, not a silent replacement."""
+    """The comma-separated ``var<sep>type`` entries of text; a variable that
+    is not an identifier, or is bound twice, is an error."""
     out = {}
     for entry in filter(None, (e.strip() for e in text.split(","))):
         if sep not in entry:
             raise ItypesError(f"bad {what} entry {entry!r}, expected var{sep}type")
         x, t = entry.split(sep, 1)
         x = x.strip()
+        if not _is_variable(x):
+            raise ItypesError(f"bad {what} entry {entry!r}: {x!r} is not a variable name")
         if x in out:
             raise ItypesError(f"variable {x!r} is bound twice in the {what}")
         out[x] = parse_type(t, spec)
     return out
+
+
+def _is_variable(x: str) -> bool:
+    """Whether x is an identifier, by the term parser's own rule."""
+    try:
+        return parse_term(x) is Var(x)
+    except ItypesError:
+        return False
+
+
+def _size(args) -> int:
+    if args.size < 1:
+        raise ItypesError(f"--size must be at least 1, not {args.size}")
+    return args.size
 
 
 def _emit(args, text_line: str, payload):
@@ -116,7 +132,7 @@ def _cmd_infer(args, spec, budget) -> int:
     ctx = _parse_bindings(spec, args.ctx, ":", "context")
     m = parse_term(args.term)
     found = sorted(
-        infer_types(spec, ctx, m, args.size, spec.atoms, budget),
+        infer_types(spec, ctx, m, _size(args), spec.atoms, budget),
         key=print_type,
     )
     lines = [print_type(t) for t in found]
@@ -150,7 +166,7 @@ def _cmd_laws(args, spec, budget) -> int:
 
     plain = sorted(a for a in spec.atoms if a not in ("omega", "nu"))
     atoms = frozenset(plain[:2])
-    results = run_all(spec, atoms, args.size, args.seed)
+    results = run_all(spec, atoms, _size(args), args.seed)
     failed = [r for r in results if not r.ok]
     lines = [
         f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.checked} checked)"

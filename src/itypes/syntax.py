@@ -368,9 +368,9 @@ def _fail(src: str, k: int, expected: str | None):
     raise ParseError(f"unexpected {tok or 'end of input'!r}", at, expected=expected)
 
 
-def parse_type(src: str, spec=None) -> Type:
-    """Parse a type; when ``spec`` is given, every atom must belong to its
-    constant set.  One pass over the tokens, with an explicit stack."""
+def _read_type(src: str) -> tuple[Type, frozenset[str]]:
+    """The type src denotes and the identifiers in it.  One pass over the
+    tokens, with an explicit stack."""
     toks = _tokens(src)
     stack = []  # ("(", the intersection before it) and ("->", domain) frames
     t = None  # the intersection being read
@@ -407,17 +407,12 @@ def parse_type(src: str, spec=None) -> Type:
         t = Arrow(stack.pop()[1], t)
     if stack:
         _fail(src, len(toks), ")")
-    if spec is not None:
-        unknown = set(toks).difference(spec.atoms, _SYMBOLS)
-        if unknown:
-            raise UnknownAtomError(min(unknown))
-    return t
+    return t, frozenset(toks).difference(_SYMBOLS)
 
 
-def parse_term(src: str) -> Term:
-    """Parse ``term ::= \\x. term | app``; application is left-associative
-    and an abstraction's body extends as far right as possible.  One pass
-    over the tokens, with an explicit stack."""
+def _read_term(src: str) -> tuple[Term, None]:
+    """The term src denotes, and None for its identifiers, which no caller
+    needs.  One pass over the tokens, with an explicit stack."""
     toks = _tokens(src)
     end = (len(toks), "")  # the end of input, as an enumerated token
     stack = []  # ("(", the application before it) and ("\\", binder) frames
@@ -456,7 +451,62 @@ def parse_term(src: str) -> Term:
         t = Lam(stack.pop()[1], t)
     if stack:
         _fail(src, len(toks), ")")
+    return t, None
+
+
+# Many inputs repeat a text: a corpus of judgments draws its contexts and
+# targets from a few types.  Nodes are hash-consed, so parsing a text again
+# can only return the node its first parse made, while that node lives.  The
+# parse memo maps (Type or Term, text) to that node, held weakly and evicted
+# as it dies, and for a type also to the identifiers in the text, so that the
+# spec check runs on every call.  Only parses that succeed are stored: a
+# failing text is parsed again and raises the same error.
+
+# Entries in the parse memo.  A memo that reaches the cap is cleared, which
+# bounds the text a long-running process keeps.
+_PARSE_CAP = 1 << 16
+
+_PARSED: dict[tuple, tuple] = {}
+
+
+def _forget(ref, parsed=_PARSED):
+    # Called as a node dies; a newer entry under the same key stays.
+    entry = parsed.get(ref.key)
+    if entry is not None and entry[0] is ref:
+        del parsed[ref.key]
+
+
+def _parse(kind, read, src: str) -> tuple:
+    """read(src), a (node, identifiers) pair, through the parse memo."""
+    key = (kind, src)
+    entry = _PARSED.get(key)
+    node = entry[0]() if entry else None
+    if node is None:
+        node, names = read(src)
+        if len(_PARSED) >= _PARSE_CAP:
+            _PARSED.clear()
+        entry = _PARSED[key] = (weakref.KeyedRef(node, _forget, key), names)
+    return node, entry[1]
+
+
+def parse_type(src: str, spec=None) -> Type:
+    """Parse a type; when ``spec`` is given, every atom must belong to its
+    constant set.  A text parsed before returns the node it parsed to, if
+    that node is still live; the spec is checked on every call."""
+    t, names = _parse(Type, _read_type, src)
+    if spec is not None:
+        unknown = names.difference(spec.atoms)
+        if unknown:
+            raise UnknownAtomError(min(unknown))
     return t
+
+
+def parse_term(src: str) -> Term:
+    """Parse ``term ::= \\x. term | app``; application is left-associative
+    and an abstraction's body extends as far right as possible.  A text
+    parsed before returns the node it parsed to, if that node is still
+    live."""
+    return _parse(Term, _read_term, src)[0]
 
 
 # ---------------------------------------------------------------- printers

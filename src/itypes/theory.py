@@ -196,8 +196,8 @@ def make_spec(atoms, rules, equations=None, name=None) -> TheorySpec:
 def named_theory(n: NamedTheory, extra_atoms: int = 0) -> TheorySpec:
     """The four standard theories; ``extra_atoms`` adds fresh atoms a, b, c,
     ... as a finite stand-in for an infinite supply of plain atoms."""
-    if extra_atoms > 26:
-        raise ValueError("at most 26 fresh atoms")
+    if not 0 <= extra_atoms <= 26:
+        raise ValueError(f"the fresh atom count must be 0 to 26, not {extra_atoms}")
     fresh = {string.ascii_lowercase[i] for i in range(extra_atoms)}
     match n:
         case NamedTheory.BA:

@@ -218,6 +218,56 @@ def test_variable_bound_twice_exit_two(capsys, argv):
     assert err.startswith("error:") and "'x' is bound twice" in err
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("check", "x y: a", "x", "a"), "x y"),
+        (("check", "1x: a", "x", "a"), "1x"),
+        (("check", "x: a, _y: a", "x", "a"), "_y"),
+        (("check", ": a", "x", "a"), ""),
+        (("infer", "x-y: a", "x"), "x-y"),
+        (("interp", "x y=a", "x", "a"), "x y"),
+        (("interp", "(x)=a", "x", "a"), "(x)"),
+    ],
+    ids=["check-space", "check-digit", "check-underscore", "check-empty",
+         "infer", "interp-space", "interp-parens"],
+)
+def test_variable_that_is_not_an_identifier_exit_two(capsys, argv, name):
+    cmd, *rest = argv
+    code, out, err = run(capsys, cmd, "--theory", "ba", "--atoms", "2", *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad ") and f"{name!r} is not a variable name" in err
+
+
+def test_variable_names_follow_the_identifier_rule(capsys):
+    code, out, _ = run(
+        capsys, "check", "--theory", "ba", "--atoms", "2", "x_1: a, y2: b, é: a", "x_1", "a"
+    )
+    assert (code, out.strip()) == (0, "yes")
+
+
+@pytest.mark.parametrize("atoms", ["-1", "27"])
+def test_fresh_atom_count_out_of_range_exit_two(capsys, atoms):
+    code, out, err = run(capsys, "leq", "--theory", "ba", "--atoms", atoms, "a", "a")
+    assert code == 2
+    assert out == ""
+    assert "0 to 26" in err and "not in the theory" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("laws", "--size", "0"), ("laws", "--size", "-1"), ("infer", "", "x", "--size", "-3")],
+    ids=["laws-0", "laws-neg", "infer-neg"],
+)
+def test_size_below_one_exit_two(capsys, argv):
+    cmd, *rest = argv
+    code, out, err = run(capsys, cmd, "--theory", "ba", "--atoms", "2", *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --size must be at least 1")
+
+
 # ---------------------------------------------------------------- classify / laws
 
 

@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
+from itypes import syntax
 from itypes.errors import ParseError, UnknownAtomError
 from itypes.syntax import (
     MAX_NESTING,
@@ -26,6 +27,8 @@ from itypes.syntax import (
     type_atoms,
     type_size,
 )
+from itypes.theory import NamedTheory, named_theory
+from test_search_corpus import _workloads
 
 # ---------------------------------------------------------------- nodes
 #
@@ -213,6 +216,90 @@ def test_parse_type_checks_atoms_against_spec(ba):
         parse_type("zeta", ba)
     with pytest.raises(UnknownAtomError):
         parse_type("omega", ba)
+
+
+# ---------------------------------------------------------------- parse memo
+
+
+@pytest.mark.parametrize(
+    "parse,reader,src",
+    [(parse_type, "_read_type", "memo_a -> memo_b & memo_a"),
+     (parse_term, "_read_term", r"\memo_x. memo_x memo_y")],
+)
+def test_repeated_text_is_read_once(monkeypatch, parse, reader, src):
+    reads = []
+    read = getattr(syntax, reader)
+    monkeypatch.setattr(syntax, reader, lambda s: reads.append(s) or read(s))
+    t = parse(src)
+    assert parse(src) is t
+    assert parse(src) is t
+    assert reads == [src]
+
+
+def test_memo_hit_still_checks_the_spec():
+    big, small = named_theory(NamedTheory.BA, 3), named_theory(NamedTheory.BA, 1)
+    src = "c -> b & a"
+    t = parse_type(src, big)
+    for spec in (small, None, big, small):
+        if spec is small:
+            with pytest.raises(UnknownAtomError) as info:
+                parse_type(src, spec)
+            assert info.value.atom == "b"  # the least unknown atom
+        else:
+            assert parse_type(src, spec) is t
+    assert parse_type("omega", named_theory(NamedTheory.BCD, 0)) is Atom("omega")
+    with pytest.raises(UnknownAtomError):
+        parse_type("omega", big)
+
+
+@pytest.mark.parametrize(
+    "parse,src",
+    [(parse_type, "a -> (b"), (parse_type, "a -> 1"),
+     (parse_type, "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1)),
+     (parse_term, r"\x x"),
+     (parse_term, "\\x. " * (MAX_NESTING + 1) + "x")],
+    ids=["type", "type-char", "type-nesting", "term", "term-nesting"],
+)
+def test_failing_text_fails_the_same_every_time(parse, src):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        e = info.value
+        errors.append((str(e), e.offset, e.expected))
+        assert not any(key[1] == src for key in syntax._PARSED)
+    assert errors[0] == errors[1]
+
+
+def test_memo_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(syntax, "_PARSE_CAP", 4)
+    syntax._PARSED.clear()
+    kept = []
+    for i in range(10):
+        for parse, src in ((parse_type, f"cap{i} -> cap{i}"), (parse_term, f"cap{i} cap{i}")):
+            kept.append((parse(src), parse, src))
+            assert len(syntax._PARSED) <= 4
+    for t, parse, src in kept:
+        assert parse(src) is t
+
+
+def test_search_corpus_parses_as_without_the_memo():
+    wl = _workloads()
+    specs = {
+        key: named_theory(NamedTheory(name), fresh)
+        for key, (name, fresh) in wl.THEORIES.items()
+    }
+    texts = []
+    for key, ctx, term, ty, _ in list(wl.search_corpus(2000)) + list(wl.KNOWN_JUDGMENTS):
+        spec = specs[key]
+        texts += [(parse_type, t.split(":", 1)[1], spec)
+                  for t in filter(None, (e.strip() for e in ctx.split(",")))]
+        texts += [(parse_term, term, None), (parse_type, ty, spec)]
+    first = [parse(src, spec) if spec else parse(src) for parse, src, spec in texts]
+    assert len({src for _, src, _ in texts}) < len(texts) / 4  # most texts repeat
+    for t, (parse, src, spec) in zip(first, texts):
+        syntax._PARSED.clear()
+        assert (parse(src, spec) if spec else parse(src)) is t
 
 
 def _types(atoms=("a", "b")):

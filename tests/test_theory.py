@@ -51,6 +51,13 @@ def test_extra_atoms_are_letters():
     assert {"a", "b", "c"} <= spec.atoms
 
 
+@pytest.mark.parametrize("n", [-1, 27])
+def test_extra_atoms_out_of_range(n):
+    with pytest.raises(ValueError, match="0 to 26"):
+        named_theory(NamedTheory.BCD, n)
+    assert named_theory(NamedTheory.BCD, 26).atoms >= {"a", "z"}
+
+
 def test_omega_nu_conflict():
     spec = make_spec({OMEGA, NU}, BA_RULES | {Rule.OMEGA_TOP, Rule.NU_TOP})
     assert Violation.OMEGA_NU_CONFLICT in validate(spec)
