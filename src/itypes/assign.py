@@ -39,7 +39,6 @@ from .syntax import (
     print_term,
     print_type,
     type_atoms,
-    type_size,
 )
 from .subtype import arrow_heads, canonical, canonical_types, leq, normalize
 from .theory import TABLE_CAP, TheorySpec, validate, validates_ba
@@ -57,13 +56,16 @@ class SearchBudget(namedtuple("SearchBudget", "max_candidate_type_size max_depth
     """Bounds of one search.
 
     ``max_depth`` bounds the nesting of search steps: each abstraction
-    body, application argument and head contraction takes one level.
-    ``max_candidate_type_size`` bounds only the candidate types tried for
-    an argument that a contractum drops in a theory without omega (see
-    ``_Search._dropped_argument``); no other step of ``derives`` or
-    ``infer_types`` reads it.  A search that nests deeper than the
-    interpreter's recursion limit allows ends UNKNOWN, as one that reaches
-    ``max_depth`` does."""
+    body, application argument and head contraction takes one level.  A
+    search that nests deeper than the interpreter's recursion limit allows
+    ends UNKNOWN, as one that reaches ``max_depth`` does.
+
+    ``max_candidate_type_size`` is inert: no step of ``derives`` or
+    ``infer_types`` reads it.  It once bounded a pool of candidate types
+    for an argument that a contraction drops, which is now typed by
+    synthesis (see ``_Search._dropped_argument``).  The field and its
+    ``>= 1`` check stay, so ``SearchBudget(4, 16)``, the keyword form and
+    ``--budget-size`` keep working."""
 
     __slots__ = ()
 
@@ -255,6 +257,21 @@ def _spine(m: Term) -> tuple[Term, list[App]]:
     return m, apps
 
 
+def _head_normal(m: Term, depth: int) -> tuple[Term | None, int]:
+    """The term that m's head contractions end at, and the depth left, one
+    level less per contraction; None when no depth would be left."""
+    while depth > 0:
+        c = contract_head(m)
+        if c is None:
+            return m, depth
+        m, depth = c, depth - 1
+    return None, 0
+
+
+class _Untypable(Exception):
+    """An argument that a contraction drops has no type at all."""
+
+
 class _Search:
     def __init__(self, spec: TheorySpec, budget: SearchBudget):
         try:
@@ -383,7 +400,9 @@ class _Search:
         is carried back to the redex by subject expansion.  A contractum
         headed by a redex again would only be contracted in turn, so the
         chain of head contractions is followed on a loop, and only its end
-        is searched: the stack does not grow with the chain."""
+        is searched: the stack does not grow with the chain.  A redex whose
+        dropped argument has no type is refuted: without omega, a typed
+        term has every subterm typed, and reduction keeps typings."""
         chain = []  # each redex spine passed, with its depth
         while True:
             chain.append((apps, depth))
@@ -393,13 +412,16 @@ class _Search:
                 break
         v, d = self._derive(ctx, m, a, depth)
         if v is Verdict.YES:
-            for apps, depth in reversed(chain):
-                d = self._expand_spine(ctx, apps, d, a, depth)
-                if d is None:
-                    return Verdict.UNKNOWN, None
+            try:
+                for apps, depth in reversed(chain):
+                    d = self._expand_spine(ctx, apps, d, depth)
+                    if d is None:
+                        return Verdict.UNKNOWN, None
+            except _Untypable:
+                return Verdict.NO, None
         return v, d
 
-    def _expand_spine(self, ctx, apps, d, a, depth):
+    def _expand_spine(self, ctx, apps, d, depth):
         """d, a derivation of the contractum of apps[-1], rebuilt for
         apps[-1]; None when no type for the redex's argument is found.
 
@@ -429,7 +451,7 @@ class _Search:
             elif d.rule == "AxOmega":
                 out.append(_node("AxOmega", ctx, m, d.type))
             elif i == 0:
-                out.append(self._expand_redex(ctx, m, d, a, depth))
+                out.append(self._expand_redex(ctx, m, d, depth))
             else:
                 todo.append((d, i, True))
                 if d.rule == "ArrowE":
@@ -438,7 +460,7 @@ class _Search:
                     todo += ((p, i, False) for p in reversed(d.premises))
         return out.pop()
 
-    def _expand_redex(self, ctx, redex, d, a, depth):
+    def _expand_redex(self, ctx, redex, d, depth):
         """Subject expansion: from d, a derivation of M[x := N] : T, one of
         (\\x. M) N : T.
 
@@ -448,9 +470,8 @@ class _Search:
         derivations, rebuilt under ctx: the substitution renamed M's
         binders apart from N's free variables.  When d types no copy, B is
         omega, the type of N as a bound variable, nu for an abstraction N,
-        or else the first candidate type the search proves for N at
-        depth - 1 (the judgment's target a seeds the candidates); failing
-        all of these, None."""
+        or else the type that ``_dropped_argument`` synthesizes for N and
+        proves at depth - 1; failing all of these, None."""
         lam, n = redex.fun, redex.arg
         x = lam.binder
         copies = {}  # T_i -> a derivation of that copy of N : T_i
@@ -476,7 +497,7 @@ class _Search:
         elif type(n) is Lam and self.nu is not None:
             dn = _node("AxNu", ctx, n, self.nu)
         else:
-            dn = self._dropped_argument(ctx, n, a, depth - 1)
+            dn = self._dropped_argument(ctx, n, depth - 1)
             if dn is None:
                 return None
         b = dn.type
@@ -484,26 +505,108 @@ class _Search:
         fun = _node("ArrowI", ctx, lam, Arrow(b, d.type), (body,))
         return _node("ArrowE", ctx, redex, d.type, (fun, dn))
 
-    def _dropped_argument(self, ctx, n, a, depth):
-        """A derivation of n : B for the first candidate type B that the
-        search proves at depth, or None.  Without omega an argument that
+    def _dropped_argument(self, ctx, n, depth):
+        """A derivation of n : B, with B the type ``_synthesize`` gives n,
+        searched once at depth; or None.  Without omega an argument that
         the contractum drops must still be typable, as in the lambda-I
-        calculus; this is the one use of the candidate pool.
+        calculus.
 
-        The search of n : B follows n's head contractions whatever B is, so
-        when they do not end within depth, no candidate is tried."""
-        m = n
-        for _ in range(depth):
-            m = contract_head(m)
-            if m is None:
-                break
-        else:
+        When n's head contractions reach a variable spine whose head ctx
+        does not bind, n has no type at all, by the generation lemma and
+        subject reduction, and neither has the redex: raise _Untypable."""
+        m, left = _head_normal(n, depth)
+        if m is None:
             return None
-        for b in self._candidates(ctx, a):
-            v, d = self._derive(ctx, n, b, depth)
+        head = _spine(m)[0]
+        if type(head) is Var and head.name not in ctx:
+            raise _Untypable
+        b = self._synthesize(ctx, m, left)
+        if b is None:
+            return None
+        v, d = self._derive(ctx, n, b, depth)
+        return d if v is Verdict.YES else None
+
+    def _synthesize(self, ctx, n, depth):
+        """A type for n in a theory without omega, or None: the type of the
+        term that n's head contractions reach within depth.  A variable
+        spine gets the type that ``_invert_spine`` iterates.  An
+        abstraction \\y. M gets nu, or without nu B -> S, with B from
+        ``_binder_type`` and S synthesized for M under y : B."""
+        m, depth = _head_normal(n, depth)
+        if m is None:
+            return None
+        if type(m) is Lam:
+            if self.nu is not None:
+                return self.nu
+            b = self._binder_type(ctx, m, depth)
+            if b is None:
+                return None
+            s = self._synthesize(_context(ctx, m.binder, b), m.body, depth - 1)
+            return None if s is None else Arrow(b, s)
+        head, apps = _spine(m)
+        t = ctx.get(head.name)
+        k = len(apps)
+        for i, app in enumerate(apps):
+            if t is None:
+                break
+            kept, _ = self._step(ctx, t, app.arg, depth - (k - i))
+            t = inter_of([h.cod for h, _ in kept]) if kept else None
+        return t
+
+    def _binder_type(self, ctx, lam, depth):
+        """A type for the binder y of lam: the canonical meet of c, the
+        theory's first plain atom, and of what lam's body asks of y; None
+        when the theory has no plain atom.
+
+        A use y N1 ... Nk asks S1 -> ... -> Sk -> c, with Si synthesized
+        for Ni at depth - 1, or c where there is none.  An argument y of a
+        spine whose head ctx binds asks the meet of the arrow-head domains
+        at its place, the heads iterated as if every one applied."""
+        spec, y = self.spec, lam.binder
+        plain = min(spec.atoms - {OMEGA, NU}, default=None)
+        if plain is None:
+            return None
+        c = Atom(plain)
+        asks = [c]
+        todo = [(lam.body, frozenset())]  # subterms, with the binders inside lam
+        while todo:
+            m, bound = todo.pop()
+            head, apps = _spine(m)
+            if type(head) is Lam:
+                if head.binder != y:  # a binder named y hides y below it
+                    todo.append((head.body, bound | {head.binder}))
+            elif head.name == y:
+                t = c
+                for app in reversed(apps):
+                    s = None
+                    if not free_vars(app.arg) & (bound | {y}):
+                        s = self._synthesize(ctx, app.arg, depth - 1)
+                    t = Arrow(c if s is None else s, t)
+                asks.append(t)
+            elif head.name in ctx and head.name not in bound:
+                t = ctx[head.name]
+                for app in apps:
+                    heads = arrow_heads(spec, t)
+                    if not heads:
+                        break
+                    if type(app.arg) is Var and app.arg.name == y:
+                        asks.append(inter_of([h.dom for h in heads]))
+                    t = inter_of([h.cod for h in heads])
+            todo += ((app.arg, bound) for app in apps)
+        return canonical(spec, inter_of(asks))
+
+    def _step(self, ctx, t, arg, depth):
+        """One application of a spine whose function has type t: the arrow
+        heads of t whose domains arg has at depth, each with arg's
+        derivation, and whether every other head was refuted."""
+        kept, settled = [], True
+        for h in arrow_heads(self.spec, t):
+            v, da = self._derive(ctx, arg, h.dom, depth)
             if v is Verdict.YES:
-                return d
-        return None
+                kept.append((h, da))
+            elif v is Verdict.UNKNOWN:
+                settled = False
+        return kept, settled
 
     def _invert_spine(self, ctx, head, apps, a, depth):
         """Decide x N1 ... Nk : a by iterated filter application.
@@ -524,13 +627,8 @@ class _Search:
         steps = []  # per application, the (head, argument derivation) pairs kept
         k = len(apps)
         for i, app in enumerate(apps):
-            kept = []
-            for h in arrow_heads(spec, t):
-                v, da = self._derive(ctx, app.arg, h.dom, depth - (k - i))
-                if v is Verdict.YES:
-                    kept.append((h, da))
-                elif v is Verdict.UNKNOWN:
-                    settled = False
+            kept, all_settled = self._step(ctx, t, app.arg, depth - (k - i))
+            settled = settled and all_settled
             if kept:
                 t = inter_of([h.cod for h, _ in kept])
             elif omega is not None:
@@ -557,29 +655,6 @@ class _Search:
             df = _via_leq(ctx, app.fun, d, Arrow(da.type, cod))
             d = _node("ArrowE", ctx, app, cod, (df, da))
         return _via_leq(ctx, apps[-1], d, a)
-
-    def _candidates(self, ctx, a):
-        """Types of size at most max_candidate_type_size: the canonical
-        forms of the subterms of the context types and of a, then the other
-        canonical types over their atoms and the theory's constants."""
-        spec = self.spec
-        cap = self.budget.max_candidate_type_size
-        seeds = {}  # an ordered set
-        atoms = {OMEGA, NU} & spec.atoms
-        todo = [a, *reversed(ctx.values())]  # preorder, on an explicit stack
-        while todo:
-            t = todo.pop()
-            ct = canonical(spec, t)
-            if type_size(ct) <= cap:
-                seeds.setdefault(ct)
-            if isinstance(t, Arrow):
-                todo += (t.cod, t.dom)
-            elif isinstance(t, Inter):
-                todo += (t.right, t.left)
-            else:
-                atoms.add(t.name)
-        rest = canonical_types(spec, atoms & spec.atoms, cap)
-        return [*seeds, *(t for t in rest if t not in seeds)]
 
 
 def derives(
@@ -620,7 +695,10 @@ def infer_types(
 ) -> set[Type]:
     """All canonical types of bounded size (over the given atoms plus the
     theory's distinguished constants) derivable for m.  An atom of a context
-    type outside the theory raises UnknownAtomError."""
+    type outside the theory raises UnknownAtomError, a size_bound below 1
+    ValueError."""
+    if size_bound < 1:
+        raise ValueError(f"the size bound must be at least 1, not {size_bound}")
     search = _Search(spec, budget)
     _check_atoms(spec, ctx.values())
     names = set(atoms) & spec.atoms
@@ -628,7 +706,7 @@ def infer_types(
         names.add(OMEGA)
     if spec.has_nu:
         names.add(NU)
-    if len(names) ** max(size_bound, 1) > 10**6:
+    if len(names) ** size_bound > 10**6:
         raise ResourceLimit("type universe too large for enumeration")
     out = set()
     for t in canonical_types(spec, names, size_bound):
@@ -636,59 +714,6 @@ def infer_types(
         if v is Verdict.YES:
             out.add(t)
     return out
-
-
-# ---------------------------------------------------------------- admissibility
-
-
-class SuiteReport:
-    """How many instances a suite checked, and the ones that failed."""
-
-    __slots__ = ("checked", "counterexamples")
-
-    def __init__(self, checked: int = 0, counterexamples: list | None = None):
-        self.checked = checked
-        self.counterexamples = [] if counterexamples is None else counterexamples
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.checked, self.counterexamples) == (other.checked, other.counterexamples)
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def admissible_rule_suite(spec, corpus, budget=SearchBudget()) -> SuiteReport:
-    """Re-derive each Yes-judgment under the admissible structural rules:
-    weakening, strengthening, intersection elimination, and basis
-    strengthening by a smaller type."""
-    report = SuiteReport()
-    fresh_types = [Atom(a) for a in sorted(spec.atoms)][:1] or [Atom(OMEGA)]
-
-    def expect_yes(label, ctx, m, a):
-        report.checked += 1
-        v, _ = derives(spec, ctx, m, a, budget)
-        if v is not Verdict.YES:
-            report.counterexamples.append(
-                (label, _ctx_tuple(ctx), print_term(m), print_type(a), v.value)
-            )
-
-    for ctx, m, a in corpus:
-        ctx = dict(ctx)
-        fresh = next(f"w{i}" for i in range(10**6) if f"w{i}" not in ctx)
-        expect_yes("weakening", {**ctx, fresh: fresh_types[0]}, m, a)
-        expect_yes(
-            "strengthening", {x: t for x, t in ctx.items() if x in free_vars(m)}, m, a
-        )
-        if isinstance(a, Inter):
-            expect_yes("inter-elim-left", ctx, m, a.left)
-            expect_yes("inter-elim-right", ctx, m, a.right)
-        for x, b in ctx.items():
-            smaller = Inter(b, b)
-            expect_yes("leq-basis", {**ctx, x: smaller}, m, a)
-    return report
 
 
 # ---------------------------------------------------------------- Hindley rule

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .assign import SuiteReport, Verdict
+from .assign import Verdict
 from .errors import UnsupportedTheory
-from .subtype import arrow_heads, eq, leq
-from .syntax import Arrow, Atom, Inter, NU, OMEGA, Type, inter_of, print_type
+from .subtype import eq, leq
+from .syntax import Arrow, Atom, Inter, NU, OMEGA, Type
 from .theory import (
     BA_RULES,
     Rule,
@@ -99,33 +99,6 @@ def is_f_type_theory(spec: TheorySpec) -> Verdict:
     if all(spec.equation_for(a) is not None for a in _plain_atoms(spec)):
         return Verdict.YES
     return Verdict.UNKNOWN
-
-
-def _arrow_decomposition(spec: TheorySpec, a: Type) -> Type | None:
-    """An intersection of arrows equivalent to a, if the arrow heads of a
-    already suffice; None otherwise."""
-    heads = arrow_heads(spec, a)
-    if not heads:
-        return None
-    candidate = inter_of(heads)
-    return candidate if eq(spec, a, candidate) else None
-
-
-def fun_alternative_check(spec: TheorySpec, corpus) -> SuiteReport:
-    """Cross-check the recursive predicate against its semantic alternative:
-    fun(A) iff A is equivalent to nu or to an intersection of arrows."""
-    report = SuiteReport()
-    for a in corpus:
-        report.checked += 1
-        rec = fun_predicate(spec, a)
-        if rec is Verdict.UNKNOWN:
-            continue
-        alt = (spec.has_nu and eq(spec, a, Atom(NU))) or (
-            _arrow_decomposition(spec, a) is not None
-        )
-        if (rec is Verdict.YES) != alt:
-            report.counterexamples.append((print_type(a), rec.value, alt))
-    return report
 
 
 class AdequacyReport(

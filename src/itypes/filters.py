@@ -34,10 +34,6 @@ class FiniteFilter(namedtuple("FiniteFilter", "generator", defaults=(None,))):
 
     __slots__ = ()
 
-    @property
-    def is_empty_generated(self) -> bool:
-        return self.generator is None
-
 
 def up(*generators: Type) -> FiniteFilter:
     """The filter generated by a finite set of types."""

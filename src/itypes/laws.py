@@ -11,8 +11,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from .assign import SearchBudget, Verdict, check_derivation, derives
-from .classify import fun_predicate, _tri_or
+from .assign import (
+    SearchBudget,
+    Verdict,
+    _head_normal,
+    _spine,
+    check_derivation,
+    derives,
+)
+from .classify import _tri_or, fun_predicate, is_natural, is_strict
 from .filters import (
     FiniteFilter,
     apply,
@@ -23,6 +30,7 @@ from .filters import (
 )
 from .subtype import (
     _universe_atoms,
+    arrow_heads,
     canonical,
     canonical_types,
     check_proof,
@@ -40,28 +48,41 @@ from .syntax import (
     Lam,
     NU,
     OMEGA,
+    Type,
     Var,
     contract_head,
+    free_vars,
+    inter_of,
+    print_term,
     print_type,
 )
 from .theory import Rule, TheorySpec
 
 
 class LawResult:
-    """A law's name, how many instances were checked and the failures."""
+    """A law's name, how many instances were checked and the failures; or,
+    for a law whose precondition the theory fails, ``skipped``, the
+    reason it was not run."""
 
-    __slots__ = ("name", "checked", "failures")
+    __slots__ = ("name", "checked", "failures", "skipped")
 
-    def __init__(self, name: str, checked: int = 0, failures: list | None = None):
+    def __init__(
+        self,
+        name: str,
+        checked: int = 0,
+        failures: list | None = None,
+        skipped: str | None = None,
+    ):
         self.name = name
         self.checked = checked
         self.failures = [] if failures is None else failures
+        self.skipped = skipped
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.name, self.checked, self.failures) == (
-            other.name, other.checked, other.failures
+        return (self.name, self.checked, self.failures, self.skipped) == (
+            other.name, other.checked, other.failures, other.skipped
         )
 
     @property
@@ -69,12 +90,15 @@ class LawResult:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "checked": self.checked,
             "ok": self.ok,
             "failures": [repr(f) for f in self.failures[:20]],
         }
+        if self.skipped is not None:
+            out["skipped"] = self.skipped
+        return out
 
 
 def _universe(spec: TheorySpec, atoms: frozenset, size: int):
@@ -281,9 +305,15 @@ def fun_recursion_law(spec: TheorySpec, atoms, size: int) -> LawResult:
 
 
 def fun_phi_law(spec: TheorySpec, atoms, size: int) -> LawResult:
-    """A principal filter over a functional type lies in the functionality set."""
-    types = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), size)
+    """A principal filter over a functional type lies in the functionality
+    set.  The law needs a strict or natural theory: with omega a top type
+    but neither omega-eta nor omega-lazy, ``a -> a`` is functional and its
+    filter is not in the set."""
     res = LawResult("fun-implies-phi")
+    if not (is_strict(spec) or is_natural(spec)):
+        res.skipped = "neither strict nor natural"
+        return res
+    types = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), size)
     for a in types:
         if fun_predicate(spec, a) is not Verdict.YES:
             continue
@@ -325,7 +355,7 @@ def _judgments(spec: TheorySpec, atoms, seed: int, count: int, budget):
 
 def random_judgments(spec: TheorySpec, atoms, seed: int, count: int, budget=None):
     """Seeded stream of Yes-judgments found by the search; used as corpora."""
-    budget = budget or SearchBudget(max_candidate_type_size=4, max_depth=16)
+    budget = budget or SearchBudget(max_depth=16)
     return [
         (ctx, m, a, d)
         for ctx, m, a, v, d in _judgments(spec, atoms, seed, count, budget)
@@ -339,8 +369,8 @@ def search_soundness_law(
     """Every Yes from the search comes with a derivation the checker accepts,
     and Yes and No both survive a budget increase."""
     res = LawResult("search-soundness")
-    small = SearchBudget(max_candidate_type_size=4, max_depth=16)
-    big = SearchBudget(max_candidate_type_size=5, max_depth=32)
+    small = SearchBudget(max_depth=16)
+    big = SearchBudget(max_depth=32)
     for ctx, m, a, v, d in _judgments(spec, atoms, seed, samples, small):
         if v is Verdict.UNKNOWN:
             continue
@@ -365,7 +395,7 @@ def spine_filter_law(
     res = LawResult("spine-filter")
     rng = random.Random(seed)
     pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
-    budget = SearchBudget(max_candidate_type_size=4, max_depth=16)
+    budget = SearchBudget(max_depth=16)
     names = ("x", "y", "z")
     for _ in range(samples):
         # a meet of two pool types can have two arrow heads
@@ -421,6 +451,16 @@ def _contract_one(rng: random.Random, m):
     return rebuild(m, path), all(step == "fun" for step in path)
 
 
+def _head_unbound(ctx, m) -> bool:
+    """Whether the argument of m's head redex reaches, within 16 head
+    contractions, a spine whose head variable ctx does not bind."""
+    while type(m.fun) is not Lam:
+        m = m.fun
+    n, _ = _head_normal(m.arg, 17)
+    head = None if n is None else _spine(n)[0]
+    return type(head) is Var and head.name not in ctx
+
+
 def subject_reduction_law(
     spec: TheorySpec, atoms, size: int, seed: int, samples: int = 60
 ) -> LawResult:
@@ -429,12 +469,14 @@ def subject_reduction_law(
     random, is contracted to C.  Subject reduction (every theory the search
     accepts) forbids R YES with C NO.  Subject expansion forbids C YES with
     R NO where it holds: with omega, or when R is the head redex, which
-    the search decides through its contractum.  Every YES derivation
-    checks."""
+    the search decides through its contractum, and its argument has a
+    type.  Without omega an argument whose head contractions reach a spine
+    headed by a variable outside the context has none, and a typed term
+    has every subterm typed.  Every YES derivation checks."""
     res = LawResult("subject-reduction")
     rng = random.Random(seed)
     pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
-    budget = SearchBudget(max_candidate_type_size=4, max_depth=16)
+    budget = SearchBudget(max_depth=16)
     for _ in range(samples):
         m = App(
             Lam(rng.choice("xyz"), _random_term(rng, rng.randrange(3))),
@@ -453,13 +495,73 @@ def subject_reduction_law(
                 res.failures.append((str(m), str(c), print_type(a), "bad-derivation"))
         if vm is Verdict.YES and vc is Verdict.NO:
             res.failures.append((str(m), str(c), print_type(a), "reduction"))
-        expands = spec.has_omega or at_head
+        expands = spec.has_omega or (at_head and not _head_unbound(ctx, m))
         if expands and vc is Verdict.YES and vm is Verdict.NO:
             res.failures.append((str(m), str(c), print_type(a), "expansion"))
     return res
 
 
+def admissible_rule_suite(spec, corpus, budget=SearchBudget()) -> LawResult:
+    """Re-derive each Yes-judgment under the admissible structural rules:
+    weakening, strengthening, intersection elimination, and basis
+    strengthening by a smaller type."""
+    res = LawResult("admissible-rules")
+    fresh_type = Atom(min(spec.atoms, default=OMEGA))
+
+    def expect_yes(label, ctx, m, a):
+        res.checked += 1
+        v, _ = derives(spec, ctx, m, a, budget)
+        if v is not Verdict.YES:
+            res.failures.append(
+                (label, tuple(sorted(ctx.items())), print_term(m), print_type(a), v.value)
+            )
+
+    for ctx, m, a in corpus:
+        ctx = dict(ctx)
+        fresh = next(f"w{i}" for i in range(10**6) if f"w{i}" not in ctx)
+        expect_yes("weakening", {**ctx, fresh: fresh_type}, m, a)
+        expect_yes(
+            "strengthening", {x: t for x, t in ctx.items() if x in free_vars(m)}, m, a
+        )
+        if isinstance(a, Inter):
+            expect_yes("inter-elim-left", ctx, m, a.left)
+            expect_yes("inter-elim-right", ctx, m, a.right)
+        for x, b in ctx.items():
+            expect_yes("leq-basis", {**ctx, x: Inter(b, b)}, m, a)
+    return res
+
+
+def _arrow_decomposition(spec: TheorySpec, a: Type) -> Type | None:
+    """An intersection of arrows equivalent to a, if the arrow heads of a
+    already suffice; None otherwise."""
+    heads = arrow_heads(spec, a)
+    if not heads:
+        return None
+    candidate = inter_of(heads)
+    return candidate if eq(spec, a, candidate) else None
+
+
+def fun_alternative_check(spec: TheorySpec, corpus) -> LawResult:
+    """Cross-check the recursive predicate against its semantic alternative:
+    fun(A) iff A is equivalent to nu or to an intersection of arrows."""
+    res = LawResult("fun-alternative")
+    for a in corpus:
+        res.checked += 1
+        rec = fun_predicate(spec, a)
+        if rec is Verdict.UNKNOWN:
+            continue
+        alt = (spec.has_nu and eq(spec, a, Atom(NU))) or (
+            _arrow_decomposition(spec, a) is not None
+        )
+        if (rec is Verdict.YES) != alt:
+            res.failures.append((print_type(a), rec.value, alt))
+    return res
+
+
 def run_all(spec: TheorySpec, atoms, size: int, seed: int) -> list[LawResult]:
+    """Every law suite on the universe of the given size, at least 1."""
+    if size < 1:
+        raise ValueError(f"the universe size must be at least 1, not {size}")
     results = []
     results += preorder_laws(spec, atoms, size)
     results.append(oracle_agreement_law(spec, atoms, min(size, 4)))

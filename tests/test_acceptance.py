@@ -11,7 +11,6 @@ import pytest
 from itypes.assign import (
     SearchBudget,
     Verdict,
-    admissible_rule_suite,
     check_derivation,
     derives,
 )
@@ -19,6 +18,7 @@ from itypes.classify import adequacy_report
 from itypes.filters import up, interpret_member
 from itypes.laws import (
     _universe,
+    admissible_rule_suite,
     filter_laws,
     oracle_agreement_law,
     preorder_laws,
@@ -152,7 +152,7 @@ def test_criterion_5_admissible_rules_and_generation():
     failures = []
     for name, spec in THEORIES.items():
         suite = admissible_rule_suite(spec, corpus[name], budget)
-        failures += [(name, c) for c in suite.counterexamples]
+        failures += [(name, c) for c in suite.failures]
         for ctx, m, a in corpus[name]:
             v, d = derives(spec, ctx, m, a, budget)
             if v is not Verdict.YES or not _clause_check(spec, ctx, m, a, d):

@@ -7,7 +7,6 @@ from itypes.assign import (
     HindleyStatus,
     SearchBudget,
     Verdict,
-    admissible_rule_suite,
     check_derivation,
     derivation_error,
     derivation_from_json,
@@ -20,6 +19,8 @@ from itypes.assign import (
 )
 from itypes.errors import UnknownAtomError, UnsupportedTheory
 from itypes.laws import (
+    _random_term,
+    admissible_rule_suite,
     random_judgments,
     search_soundness_law,
     spine_filter_law,
@@ -137,9 +138,11 @@ def test_search_deeper_than_the_stack_is_unknown(ba):
 
 
 def test_ehr_never_types_k_of_unsolvable(ehr):
+    # the dropped argument never reaches a head normal form, so it gets no
+    # type, and nothing refutes it either
     for budget in (SMALL, SearchBudget()):
         v, _ = derives(ehr, {}, T(rf"(\y. \x. x) ({OMEGA_TERM})"), P("a -> a"), budget)
-        assert v is not Verdict.YES
+        assert v is Verdict.UNKNOWN
 
 
 # ---------------------------------------------------------------- search behaviour
@@ -435,12 +438,65 @@ def test_redex_spine_expanded(bcd):
     assert check_derivation(bcd, d)
 
 
-def test_dropped_argument_typed_from_the_candidates(ba):
-    # without omega the dropped argument still needs a type; x : a serves
+def test_dropped_argument_typed_by_synthesis(ba):
+    # without omega the dropped argument still needs a type; its head
+    # contraction reaches x, and x : a serves
     ctx = {"x": P("a"), "y": P("b")}
     v, d = derives(ba, ctx, T(r"(\z. y) ((\u. u) x)"), P("b"))
     assert v is Verdict.YES
     assert check_derivation(ba, d)
+    assert d.premises[1].type == P("a")
+
+
+@pytest.mark.parametrize(
+    "ctx, term, ty, arg_type",
+    [
+        # an argument of a context variable's spine: y gets a & b
+        ({"z": "b -> b"}, r"(\y. \y. y) (\y. z y)", "a -> a", "a & b -> b"),
+        # uses of the binder: x z asks b -> a, y (y x) and y y ask a -> a
+        ({"z": "b"}, r"(\z. \x. x) (\x. x z)", "b -> b", "a & (b -> a) -> a"),
+        ({"x": "a"}, r"(\z. x) (\y. y (y x))", "a", "a & (a -> a) -> a"),
+        ({"x": "a"}, r"(\z. x) (\y. y y)", "a", "a & (a -> a) -> a"),
+    ],
+)
+def test_dropped_abstraction_typed_by_synthesis(ba, ctx, term, ty, arg_type):
+    ctx = {x: P(t) for x, t in ctx.items()}
+    v, d = derives(ba, ctx, T(term), P(ty), SearchBudget())
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+    assert d.premises[1].type == P(arg_type)
+
+
+@pytest.mark.parametrize(
+    "name, ctx, term, ty",
+    [
+        ("ba", {"y": "b", "z": "b -> b"}, r"(\z. \z. y) x", "a -> b"),
+        ("ehr", {"y": "a -> nu", "z": "b -> a"}, r"(\y. \x. z) x", "nu"),
+        ("ba", {"y": "b"}, r"(\z. y) ((\u. u) (w y))", "b"),
+    ],
+)
+def test_untypable_dropped_argument_is_no(all_theories, name, ctx, term, ty):
+    # the dropped argument's head contractions reach a spine headed by a
+    # variable the context does not bind: without omega it has no type, and
+    # a typed term has every subterm typed
+    spec = all_theories[name]
+    ctx = {x: P(t) for x, t in ctx.items()}
+    assert derives(spec, ctx, T(term), P(ty))[0] is Verdict.NO
+
+
+def test_candidate_size_is_inert(ba, ehr):
+    # verdicts and derivations do not depend on max_candidate_type_size
+    import random
+
+    rng = random.Random(5)
+    for spec in (ba, ehr):
+        for _ in range(150):
+            m = App(Lam("z", _random_term(rng, rng.randrange(3))), _random_term(rng, 2))
+            ctx = {x: rng.choice([P("a"), P("b -> a"), P("a -> a")]) for x in "xy"}
+            a = rng.choice([P("a"), P("b"), P("a -> a")])
+            small = derives(spec, ctx, m, a, SearchBudget(1, 16))
+            large = derives(spec, ctx, m, a, SearchBudget(6, 16))
+            assert small == large
 
 
 @pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
@@ -502,6 +558,12 @@ def test_infer_identity_types(ba):
     assert P("a -> a") in found
 
 
+def test_infer_rejects_size_below_one(ba):
+    for size in (0, -2):
+        with pytest.raises(ValueError):
+            infer_types(ba, {}, T(r"\x. x"), size, {"a"})
+
+
 def test_infer_unsolvable_only_omega(ao):
     found = infer_types(ao, {}, T(OMEGA_TERM), 1, set(), SMALL)
     assert found == {P("omega")}
@@ -525,14 +587,14 @@ def test_admissible_rules_on_golden_corpus(ba, ao, ehr):
         ({}, T(r"\x. x"), P("(a -> a) & (b -> b)")),
     ]
     report = admissible_rule_suite(ba, corpus)
-    assert report.ok, report.counterexamples
+    assert report.ok, report.failures
     assert report.checked > len(corpus)
 
 
 def test_admissible_rules_with_omega(ao):
     corpus = [({}, T(rf"(\y. \x. x) ({OMEGA_TERM})"), P("a -> a"))]
     report = admissible_rule_suite(ao, corpus)
-    assert report.ok, report.counterexamples
+    assert report.ok, report.failures
 
 
 # ---------------------------------------------------------------- Hindley rule

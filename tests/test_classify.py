@@ -3,14 +3,13 @@ import pytest
 from itypes.assign import Verdict
 from itypes.classify import (
     adequacy_report,
-    fun_alternative_check,
     fun_predicate,
     is_f_type_theory,
     is_natural,
     is_strict,
 )
 from itypes.errors import UnsupportedTheory
-from itypes.laws import fun_phi_law
+from itypes.laws import fun_alternative_check, fun_phi_law, run_all
 from itypes.subtype import canonical_types
 from itypes.syntax import parse_type as P
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
@@ -116,7 +115,7 @@ def test_fun_alternative_agrees(theory):
     spec = {"ehr0": EHR0, "ao0": AO0, "eqn-bcd": EQN_BCD}[theory]
     corpus = canonical_types(spec, spec.atoms, 5)
     report = fun_alternative_check(spec, corpus)
-    assert report.ok, report.counterexamples
+    assert report.ok, report.failures
     assert report.checked == len(corpus)
 
 
@@ -124,6 +123,26 @@ def test_fun_implies_phi(ehr):
     report = fun_phi_law(ehr, ehr.atoms, 4)
     assert report.ok, report.failures
     assert report.checked > 0
+
+
+# omega a top type, neither omega-eta nor omega-lazy: a -> a is functional
+# there, and its filter is not in the functionality set
+OMEGA_TOP_ONLY = make_spec({"omega", "a"}, BA_RULES | {Rule.OMEGA_TOP})
+
+
+def test_fun_implies_phi_skipped_where_neither_strict_nor_natural():
+    assert not is_strict(OMEGA_TOP_ONLY) and not is_natural(OMEGA_TOP_ONLY)
+    report = fun_phi_law(OMEGA_TOP_ONLY, {"a"}, 3)
+    assert report.skipped == "neither strict nor natural"
+    assert report.ok and report.checked == 0
+    assert report.to_json()["skipped"] == "neither strict nor natural"
+    assert "skipped" not in fun_phi_law(EHR0, EHR0.atoms, 3).to_json()
+
+
+def test_run_all_rejects_size_below_one(ba):
+    for size in (0, -1):
+        with pytest.raises(ValueError):
+            run_all(ba, {"a", "b"}, size, 0)
 
 
 # ---------------------------------------------------------------- adequacy report

@@ -9,7 +9,7 @@ import pytest
 
 import itypes
 from itypes.cli import main
-from itypes.theory import NamedTheory, named_theory, spec_to_json
+from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory, spec_to_json
 
 
 def run(capsys, *argv):
@@ -118,6 +118,19 @@ def test_check_unknown_exit_three(capsys):
     )
     assert code == 3
     assert out.strip() == "unknown"
+
+
+def test_budget_size_is_accepted_and_ignored(capsys):
+    # a dropped abstraction is typed by synthesis, whatever --budget-size says
+    argv = ("check", "--theory", "ba", "--atoms", "2", "x: a", r"(\z. x) (\y. y y)", "a")
+    outs = set()
+    for size in ("1", "6"):
+        code, out, _ = run(capsys, *argv, "--budget-size", size, "--output", "json")
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    code, _, err = run(capsys, *argv, "--budget-size", "0")
+    assert code == 2 and "budget" in err
 
 
 def test_check_atom_outside_theory_exit_two(capsys):
@@ -304,6 +317,24 @@ def test_laws_json_schema(capsys):
     assert code == 0
     data = json.loads(out)
     assert all({"name", "checked", "ok", "failures"} == set(r) for r in data["results"])
+
+
+def test_laws_skip_fun_phi_where_neither_strict_nor_natural(tmp_path, capsys):
+    # omega a top type, neither omega-eta nor omega-lazy
+    spec = make_spec({"omega", "a"}, BA_RULES | {Rule.OMEGA_TOP})
+    path = tmp_path / "omega-top.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    argv = ("laws", "--theory", f"file:{path}", "--size", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "fun-implies-phi: skipped (neither strict nor natural)" in out.splitlines()
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    skipped = [r for r in results if "skipped" in r]
+    assert [(r["name"], r["skipped"]) for r in skipped] == [
+        ("fun-implies-phi", "neither strict nor natural")
+    ]
 
 
 # ---------------------------------------------------------------- theory files

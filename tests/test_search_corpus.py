@@ -7,7 +7,9 @@ those 2,006 judgments, 416 were YES and 1,437 NO before head redexes were
 contracted; the other 153, listed below by index, were UNKNOWN.  A change
 may settle an UNKNOWN, but every settled verdict must stay as it was: the
 digest pins the sorted ``index verdict`` lines of the settled ones.  A
-second digest pins every YES derivation, node for node, as its JSON.
+second digest pins the 417 derivations found before dropped arguments were
+typed by synthesis, node for node, as their JSON; the judgments that
+synthesis settled since are listed with their verdicts in ``SYNTHESIZED``.
 """
 
 import hashlib
@@ -47,6 +49,9 @@ WERE_UNKNOWN = frozenset((
     1838, 1845, 1878, 1880, 1884, 1888, 1895, 1903, 1909, 1910, 1941, 1950,
     1961, 1998, 2003,
 ))
+# settled by typing a dropped argument by synthesis: 907 gets its type, and
+# 1624 and 1687 drop a variable that the context does not bind
+SYNTHESIZED = {907: "yes", 1624: "no", 1687: "no"}
 
 
 def _workloads():
@@ -84,7 +89,7 @@ def test_search_corpus_keeps_settled_verdicts():
         spec = specs[key]
         v, d = derives(spec, _ctx(ctx, spec), parse_term(term), parse_type(ty, spec), budget)
         verdicts.append(v.value)
-        if d is not None:
+        if d is not None and i not in SYNTHESIZED:
             found += 1
             line = f"{i} " + json.dumps(derivation_to_json(d), sort_keys=True) + "\n"
             derivations.update(line.encode())
@@ -99,5 +104,6 @@ def test_search_corpus_keeps_settled_verdicts():
     assert hashlib.sha256(settled.encode()).hexdigest() == SETTLED_DIGEST
     assert found == DERIVATIONS
     assert derivations.hexdigest() == DERIVATION_DIGEST
+    assert {i: verdicts[i] for i in SYNTHESIZED} == SYNTHESIZED
     # contraction settles all but a handful: decided share at least 0.99
     assert verdicts.count("unknown") <= 20
