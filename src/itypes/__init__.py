@@ -64,7 +64,6 @@ _EXPORTS = {
         "derivation_from_json",
         "derivation_to_json",
         "derives",
-        "hindley_rule_check",
         "infer_types",
     ),
     "filters": (
@@ -74,7 +73,6 @@ _EXPORTS = {
         "make_abstraction_filter",
         "member",
         "phi_membership",
-        "prop_simple_check",
         "up",
     ),
     "classify": (
@@ -85,6 +83,7 @@ _EXPORTS = {
         "is_natural",
         "is_strict",
     ),
+    "laws": ("hindley_rule_check",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

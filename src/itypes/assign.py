@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .errors import ResourceLimit, UnknownAtomError, UnsupportedTheory
+from .errors import ResourceLimit, UnknownAtomError
 from .syntax import (
     App,
     Arrow,
@@ -41,7 +41,7 @@ from .syntax import (
     type_atoms,
 )
 from .subtype import arrow_heads, canonical, canonical_types, leq, normalize
-from .theory import TABLE_CAP, TheorySpec, validate, validates_ba
+from .theory import TABLE_CAP, TheorySpec
 
 Basis = dict[str, Type]
 
@@ -76,9 +76,6 @@ class SearchBudget(namedtuple("SearchBudget", "max_candidate_type_size max_depth
 
 
 # ---------------------------------------------------------------- derivations
-
-RULES = ("Ax", "AxOmega", "AxNu", "ArrowI", "ArrowE", "InterI", "Leq")
-
 
 class Derivation(
     namedtuple(
@@ -131,8 +128,7 @@ def check_derivation(spec: TheorySpec, d: Derivation) -> bool:
 
 def derivation_error(spec: TheorySpec, d: Derivation):
     """Path (tuple of premise indices) to the first incorrect node, or None."""
-    if validate(spec):
-        raise UnsupportedTheory("theory spec fails validation")
+    spec.require_valid()
 
     # preorder on an explicit stack, so depth is bounded only by memory; a
     # path is kept as the pair (parent's path, index), () at the root
@@ -274,14 +270,7 @@ class _Untypable(Exception):
 
 class _Search:
     def __init__(self, spec: TheorySpec, budget: SearchBudget):
-        try:
-            tables = spec.tables  # an invalid spec raises here, before any search
-        except UnsupportedTheory:
-            if not validates_ba(spec):
-                raise UnsupportedTheory(
-                    "derivation search needs the arrow-inter and eta rules"
-                ) from None
-            raise
+        tables = spec.tables  # an invalid spec raises here, before any search
         self.spec = spec
         self.budget = budget
         # the theory's constants, read once
@@ -713,63 +702,6 @@ def infer_types(
         v, _ = search.run(ctx, m, t)
         if v is Verdict.YES:
             out.add(t)
-    return out
-
-
-# ---------------------------------------------------------------- Hindley rule
-
-
-class HindleyStatus(enum.Enum):
-    ADMISSIBLE = "admissible-on-instance"
-    COUNTEREXAMPLE_CANDIDATE = "counterexample-candidate"
-    UNKNOWN = "unknown"
-
-
-def _omega_n_arrow(n: int) -> Type:
-    t = Atom(OMEGA)
-    for _ in range(n):
-        t = Arrow(Atom(OMEGA), t)
-    return t
-
-
-def hindley_rule_check(
-    spec: TheorySpec,
-    psi: str,
-    n: int,
-    budget: SearchBudget = SearchBudget(),
-    corpus=None,
-) -> list[tuple[str, HindleyStatus]]:
-    """Check instances of the eta-expansion rule for the atom psi: from
-    ctx |- M : psi & (omega^n -> omega) conclude
-    ctx |- \\x1...xn. M x1...xn : psi."""
-    if not spec.has_omega:
-        raise UnsupportedTheory("the rule is only meaningful with omega present")
-    premise_type = Inter(Atom(psi), _omega_n_arrow(n))
-    if corpus is None:
-        corpus = [({"x": premise_type}, Var("x"))]
-    out = []
-    for ctx, m in corpus:
-        body = m
-        binders = [f"x{i}" for i in range(1, n + 1)]
-        for b in binders:
-            body = App(body, Var(b))
-        expansion = body
-        for b in reversed(binders):
-            expansion = Lam(b, expansion)
-        pv, _ = derives(spec, ctx, m, premise_type, budget)
-        if pv is Verdict.UNKNOWN:
-            status = HindleyStatus.UNKNOWN
-        elif pv is Verdict.NO:
-            status = HindleyStatus.ADMISSIBLE  # vacuous instance
-        else:
-            cv, _ = derives(spec, ctx, expansion, Atom(psi), budget)
-            if cv is Verdict.YES:
-                status = HindleyStatus.ADMISSIBLE
-            elif cv is Verdict.NO:
-                status = HindleyStatus.COUNTEREXAMPLE_CANDIDATE
-            else:
-                status = HindleyStatus.UNKNOWN
-        out.append((print_term(m), status))
     return out
 
 

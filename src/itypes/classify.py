@@ -12,33 +12,26 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .assign import Verdict
-from .errors import UnsupportedTheory
 from .subtype import eq, leq
-from .syntax import Arrow, Atom, Inter, NU, OMEGA, Type
-from .theory import (
-    BA_RULES,
-    Rule,
-    TheorySpec,
-    validate,
-    validates_ao,
-    validates_ba,
-)
-
-
-def _require_valid(spec: TheorySpec):
-    violations = validate(spec)
-    if violations:
-        raise UnsupportedTheory(f"invalid theory spec: {violations}")
+from .syntax import Arrow, Atom, NU, OMEGA, Type, conjuncts
+from .theory import BA_RULES, Rule, TheorySpec, validates_ba
 
 
 def is_strict(spec: TheorySpec) -> bool:
-    _require_valid(spec)
+    spec.require_valid()
     return not spec.has_omega and validates_ba(spec)
 
 
 def is_natural(spec: TheorySpec) -> bool:
-    _require_valid(spec)
-    return spec.has_omega and validates_ao(spec)
+    """omega is a top type and abstractions are lazily typed.  A valid spec
+    with omega has omega-top; omega-eta counts for omega-lazy, since with
+    (eta) it yields the lazy axiom."""
+    spec.require_valid()
+    return (
+        spec.has_omega
+        and validates_ba(spec)
+        and (Rule.OMEGA_LAZY in spec.rules or Rule.OMEGA_ETA in spec.rules)
+    )
 
 
 def _tri_or(a: Verdict, b: Verdict) -> Verdict:
@@ -52,11 +45,17 @@ def _tri_or(a: Verdict, b: Verdict) -> Verdict:
 def fun_predicate(spec: TheorySpec, a: Type) -> Verdict:
     """Whether a is a functional type: an arrow, an intersection with a
     functional conjunct, or an atom equivalent to one."""
+    spec.require_valid()
+    out = Verdict.NO  # the unit of _tri_or
+    for c in conjuncts(a):
+        out = _tri_or(out, _fun_conjunct(spec, c))
+    return out
+
+
+def _fun_conjunct(spec: TheorySpec, a: Type) -> Verdict:
     match a:
         case Arrow():
             return Verdict.YES
-        case Inter(left, right):
-            return _tri_or(fun_predicate(spec, left), fun_predicate(spec, right))
         case Atom(name):
             if spec.has_nu and eq(spec, a, Atom(NU)):
                 return Verdict.YES
@@ -74,7 +73,7 @@ def _plain_atoms(spec: TheorySpec):
 
 def is_f_type_theory(spec: TheorySpec) -> Verdict:
     """Whether every type's functional behaviour is witnessed by arrows."""
-    _require_valid(spec)
+    spec.require_valid()
     strict = is_strict(spec)
     natural = is_natural(spec)
     if not strict and not natural:
@@ -126,7 +125,7 @@ class AdequacyReport(
 
 
 def adequacy_report(spec: TheorySpec) -> AdequacyReport:
-    _require_valid(spec)
+    spec.require_valid()
     strict = is_strict(spec)
     natural = is_natural(spec)
     inference = strict or natural

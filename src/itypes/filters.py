@@ -22,8 +22,6 @@ from .syntax import (
     Type,
     free_vars,
     inter_of,
-    parse_type,
-    print_type,
 )
 from .theory import Rule, TheorySpec
 
@@ -66,14 +64,6 @@ def apply(spec: TheorySpec, x: FiniteFilter, y: FiniteFilter) -> FiniteFilter:
     if not cods:
         return FiniteFilter(None)
     return FiniteFilter(canonical(spec, inter_of(cods)))
-
-
-def prop_simple_check(spec: TheorySpec, x: FiniteFilter, a: Type, b: Type) -> bool:
-    """b in x . up(a) iff a -> b in x; expected to hold whenever omega -> omega
-    is in x (or unconditionally in omega-free theories)."""
-    lhs = member(spec, apply(spec, x, up(a)), b)
-    rhs = member(spec, x, Arrow(a, b))
-    return lhs == rhs
 
 
 def make_abstraction_filter(spec: TheorySpec, table) -> FiniteFilter:
@@ -119,15 +109,3 @@ def interpret_member(
             raise EmptyEnvFilter(f"variable {x!r} is bound to the empty filter")
     v, _ = derives(spec, ctx, m, a, budget)
     return v
-
-
-def filter_to_json(spec: TheorySpec, x: FiniteFilter) -> str:
-    if x.generator is None:
-        return "empty"
-    return print_type(canonical(spec, x.generator))
-
-
-def filter_from_json(data: str, spec: TheorySpec | None = None) -> FiniteFilter:
-    if data == "empty":
-        return FiniteFilter(None)
-    return FiniteFilter(parse_type(data, spec))

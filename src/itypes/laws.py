@@ -20,6 +20,7 @@ from .assign import (
     derives,
 )
 from .classify import _tri_or, fun_predicate, is_natural, is_strict
+from .errors import UnsupportedTheory
 from .filters import (
     FiniteFilter,
     apply,
@@ -271,7 +272,7 @@ def filter_laws(spec: TheorySpec, atoms, size: int) -> list[LawResult]:
         if spec.has_omega and not member(spec, x, oo):
             continue
         for a in small:
-            # prop_simple_check(spec, x, a, b), applying x to up(a) once
+            # b in x . up(a) iff a -> b in x, applying x to up(a) once
             xa = apply(spec, x, up(a))
             for b in small:
                 simple.checked += 1
@@ -555,6 +556,48 @@ def fun_alternative_check(spec: TheorySpec, corpus) -> LawResult:
         )
         if (rec is Verdict.YES) != alt:
             res.failures.append((print_type(a), rec.value, alt))
+    return res
+
+
+def hindley_rule_check(
+    spec: TheorySpec,
+    psi: str,
+    n: int,
+    budget: SearchBudget = SearchBudget(),
+    corpus=None,
+) -> LawResult:
+    """Check instances of the eta-expansion rule for the atom psi: from
+    ctx |- M : psi & (omega^n -> omega) conclude
+    ctx |- \\x1...xn. M x1...xn : psi, with binders not free in M.  A
+    premise NO makes the instance hold vacuously, a conclusion NO after a
+    premise YES is a failure, and an UNKNOWN on either side is not
+    counted.  The default corpus is the variable x under x : premise."""
+    if not spec.has_omega:
+        raise UnsupportedTheory("the rule is only meaningful with omega present")
+    omega = Atom(OMEGA)
+    premise_type = omega
+    for _ in range(n):
+        premise_type = Arrow(omega, premise_type)
+    premise_type = Inter(Atom(psi), premise_type)
+    if corpus is None:
+        corpus = [({"x": premise_type}, Var("x"))]
+    res = LawResult("hindley-rule")
+    for ctx, m in corpus:
+        used = free_vars(m)
+        fresh = (f"x{i}" for i in itertools.count(1) if f"x{i}" not in used)
+        binders = list(itertools.islice(fresh, n))
+        expansion = m
+        for b in binders:
+            expansion = App(expansion, Var(b))
+        for b in reversed(binders):
+            expansion = Lam(b, expansion)
+        v, _ = derives(spec, ctx, m, premise_type, budget)
+        if v is Verdict.YES:  # after a premise NO, v stays NO: vacuously ok
+            v, _ = derives(spec, ctx, expansion, Atom(psi), budget)
+            if v is Verdict.NO:
+                res.failures.append((print_term(m), print_term(expansion)))
+        if v is not Verdict.UNKNOWN:
+            res.checked += 1
     return res
 
 

@@ -106,21 +106,6 @@ class Inter(Type):
         return _intern(cls, left, right)
 
 
-def type_size(t: Type) -> int:
-    n = 0
-    todo = [t]  # an explicit stack, so depth is bounded only by memory
-    while todo:
-        t = todo.pop()
-        n += 1
-        if isinstance(t, Arrow):
-            todo += (t.dom, t.cod)
-        elif isinstance(t, Inter):
-            todo += (t.left, t.right)
-        elif not isinstance(t, Atom):
-            raise TypeError(t)
-    return n
-
-
 def type_atoms(t: Type) -> frozenset[str]:
     names = set()
     todo = [t]

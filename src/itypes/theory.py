@@ -16,7 +16,6 @@ from .errors import UnsupportedTheory
 from .syntax import (
     Arrow,
     Atom,
-    Inter,
     NU,
     OMEGA,
     Type,
@@ -154,15 +153,23 @@ class TheorySpec:
         """The memo tables for this theory, made once.  Making them checks
         that the decision applies: the spec must be valid, or the decision
         need not terminate, and have the base rules."""
-        violations = validate(self)
-        if violations:
-            names = ", ".join(v.value for v in violations)
-            raise UnsupportedTheory(f"invalid theory spec: {names}")
+        self.require_valid()
         if not validates_ba(self):
             raise UnsupportedTheory(
                 "the subtype decision procedure needs the arrow-inter and eta rules"
             )
         return TheoryTables(self)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What ``validate`` finds wrong with this spec, found once."""
+        return tuple(_violations(self))
+
+    def require_valid(self) -> None:
+        """Raise ``UnsupportedTheory`` naming the violations, if any."""
+        if self.violations:
+            names = ", ".join(v.value for v in self.violations)
+            raise UnsupportedTheory(f"invalid theory spec: {names}")
 
     @cached_property
     def rule_names(self) -> frozenset[str]:
@@ -235,6 +242,10 @@ class Violation(enum.Enum):
 
 def validate(spec: TheorySpec) -> list[Violation]:
     """Well-formedness check; an empty list means the spec is usable."""
+    return list(spec.violations)
+
+
+def _violations(spec: TheorySpec) -> list[Violation]:
     out = []
     for a in spec.atoms:
         if not a or not a[0].isalpha() or not all(c.isalnum() or c == "_" for c in a):
@@ -263,41 +274,35 @@ def validate(spec: TheorySpec) -> list[Violation]:
         if not all(isinstance(c, Arrow) for c in conjuncts(rhs)):
             out.append(Violation.BAD_EQUATION_RHS)
             continue
-        deps[key] = set(type_atoms(rhs))
+        deps[key] = type_atoms(rhs)
 
-    # equation graph must be acyclic so expansion terminates
-    eq_keys = set(deps)
-    visiting: set[str] = set()
+    # the equation graph must be acyclic so expansion terminates; a
+    # depth-first walk on an explicit stack, so a long chain of equations
+    # is bounded only by memory
     done: set[str] = set()
-
-    def cyclic(a):
-        if a in done:
-            return False
-        if a in visiting:
-            return True
-        visiting.add(a)
-        bad = any(cyclic(b) for b in deps.get(a, ()) if b in eq_keys)
-        visiting.discard(a)
-        done.add(a)
-        return bad
-
-    if any(cyclic(a) for a in eq_keys):
-        out.append(Violation.CYCLIC_EQUATIONS)
+    for root in deps:
+        if root in done:
+            continue
+        on_path = {root}
+        todo = [(root, iter(deps[root]))]
+        while todo:
+            a, rest = todo[-1]
+            b = next((b for b in rest if b in deps and b not in done), None)
+            if b is None:
+                todo.pop()
+                on_path.discard(a)
+                done.add(a)
+            elif b in on_path:
+                out.append(Violation.CYCLIC_EQUATIONS)
+                return out
+            else:
+                on_path.add(b)
+                todo.append((b, iter(deps[b])))
     return out
 
 
 def validates_ba(spec: TheorySpec) -> bool:
     return BA_RULES <= spec.rules
-
-
-def validates_ao(spec: TheorySpec) -> bool:
-    # omega-eta counts: together with (eta) it yields the lazy axiom.
-    return (
-        validates_ba(spec)
-        and spec.has_omega
-        and Rule.OMEGA_TOP in spec.rules
-        and (Rule.OMEGA_LAZY in spec.rules or Rule.OMEGA_ETA in spec.rules)
-    )
 
 
 # ---------------------------------------------------------------- JSON format

@@ -2,9 +2,9 @@ import sys
 
 import pytest
 
+import itypes
 from itypes.assign import (
     Derivation,
-    HindleyStatus,
     SearchBudget,
     Verdict,
     check_derivation,
@@ -12,7 +12,6 @@ from itypes.assign import (
     derivation_from_json,
     derivation_to_json,
     derives,
-    hindley_rule_check,
     infer_types,
     make_derivation,
     _Search,
@@ -21,6 +20,7 @@ from itypes.errors import UnknownAtomError, UnsupportedTheory
 from itypes.laws import (
     _random_term,
     admissible_rule_suite,
+    hindley_rule_check,
     random_judgments,
     search_soundness_law,
     spine_filter_law,
@@ -600,19 +600,33 @@ def test_admissible_rules_with_omega(ao):
 # ---------------------------------------------------------------- Hindley rule
 
 
+HINDLEY_SPEC = make_spec(
+    {"omega", "a", "b"},
+    BA_RULES | {Rule.OMEGA_TOP, Rule.OMEGA_ETA},
+    {"a": P("(b -> b) -> (b -> b)")},
+)
+
+
 def test_hindley_admissible_with_equation():
-    spec = make_spec(
-        {"omega", "a", "b"},
-        BA_RULES | {Rule.OMEGA_TOP, Rule.OMEGA_ETA},
-        {"a": P("(b -> b) -> (b -> b)")},
-    )
-    [(_, status)] = hindley_rule_check(spec, "a", 1)
-    assert status is HindleyStatus.ADMISSIBLE
+    res = hindley_rule_check(HINDLEY_SPEC, "a", 1)
+    assert (res.name, res.checked, res.ok) == ("hindley-rule", 1, True)
+    assert itypes.hindley_rule_check is hindley_rule_check
+
+
+def test_hindley_binders_avoid_free_variables():
+    # the expansion of x1 must not be \x1. \x2. x1 x1 x2
+    premise = P("a & (omega -> omega)")
+    for x in ("x", "x1", "x2"):
+        res = hindley_rule_check(HINDLEY_SPEC, "a", 2, corpus=[({x: premise}, Var(x))])
+        assert (res.checked, res.failures) == (1, []), x
 
 
 def test_hindley_counterexample_for_fresh_atom(bcd):
-    [(_, status)] = hindley_rule_check(bcd, "a", 1)
-    assert status is HindleyStatus.COUNTEREXAMPLE_CANDIDATE
+    res = hindley_rule_check(bcd, "a", 1)
+    assert (res.checked, res.failures) == (1, [("x", r"\x1. x x1")])
+    # a premise NO holds vacuously
+    res = hindley_rule_check(bcd, "a", 1, corpus=[({"x": P("b")}, Var("x"))])
+    assert (res.checked, res.ok) == (1, True)
 
 
 def test_hindley_requires_omega(ba):

@@ -11,7 +11,7 @@ from itypes.classify import (
 from itypes.errors import UnsupportedTheory
 from itypes.laws import fun_alternative_check, fun_phi_law, run_all
 from itypes.subtype import canonical_types
-from itypes.syntax import parse_type as P
+from itypes.syntax import Atom, Inter, parse_type as P
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
 
 EHR0 = named_theory(NamedTheory.EHR)
@@ -51,6 +51,15 @@ def test_fun_arrows_always_functional(ba):
 def test_fun_intersection_is_disjunction(ba):
     assert fun_predicate(ba, P("(a -> b) & c")) is Verdict.YES
     assert fun_predicate(ba, P("a & b")) is Verdict.NO
+
+
+@pytest.mark.parametrize("nest", ["left", "right"])
+def test_fun_deep_intersection(bcd, nest):
+    # one stack frame per & level would pass the interpreter's recursion limit
+    for t, want in ((P("b"), Verdict.NO), (P("a -> b"), Verdict.YES)):
+        for _ in range(5000):
+            t = Inter(t, Atom("a")) if nest == "left" else Inter(Atom("a"), t)
+        assert fun_predicate(bcd, t) is want
 
 
 def test_fun_on_distinguished_atoms(ehr, bcd, ao):

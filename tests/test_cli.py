@@ -10,6 +10,7 @@ import pytest
 import itypes
 from itypes.cli import main
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory, spec_to_json
+from test_theory import chain_spec
 
 
 def run(capsys, *argv):
@@ -354,6 +355,32 @@ def test_theory_file_search_path(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ITYPES_THEORY_PATH", str(tmp_path))
     code, out, _ = run(capsys, "leq", "--theory", "file:t.json", "a -> a", "nu")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify",),
+        ("leq", "a", "a"),
+        ("check", "x:a", "x", "a"),
+        ("laws", "--size", "1"),
+    ],
+)
+def test_invalid_theory_same_error_everywhere(tmp_path, capsys, argv):
+    spec = make_spec({"omega", "a"}, BA_RULES)  # omega without omega-top
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    code, out, err = run(capsys, argv[0], "--theory", f"file:{path}", *argv[1:])
+    assert code == 2
+    assert (out, err) == ("", "error: invalid theory spec: MissingAssumption1\n")
+
+
+def test_classify_long_equation_chain(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec_to_json(chain_spec(1500))))
+    code, out, err = run(capsys, "classify", "--theory", f"file:{path}")
+    assert (code, err) == (0, "")
+    assert "strict: True" in out
 
 
 def test_missing_theory_file_exit_two(capsys):

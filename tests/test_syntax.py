@@ -25,7 +25,6 @@ from itypes.syntax import (
     print_type,
     substitute,
     type_atoms,
-    type_size,
 )
 from itypes.theory import NamedTheory, named_theory
 from test_search_corpus import _workloads
@@ -318,12 +317,6 @@ def test_print_parse_type_roundtrip(t):
     assert parse_type(print_type(t)) == t
 
 
-@given(_types())
-def test_type_size_counts_nodes(t):
-    assert type_size(t) >= 1
-    assert type_atoms(t) <= {"a", "b"}
-
-
 def test_deep_constructed_types_print_and_measure():
     # built with the constructors, so the parser's nesting limit is no guard
     n = 5000
@@ -333,7 +326,6 @@ def test_deep_constructed_types_print_and_measure():
         right = Inter(Atom("b"), right)
     assert print_type(left) == "(" * (n - 1) + "a -> b" + ") -> b" * (n - 1)
     assert print_type(right) == "b & (" * (n - 1) + "b & a" + ")" * (n - 1)
-    assert type_size(left) == type_size(right) == 2 * n + 1
     assert type_atoms(left) == type_atoms(right) == {"a", "b"}
 
 

@@ -3,7 +3,9 @@ import pickle
 
 import pytest
 
-from itypes.syntax import NU, OMEGA, parse_type
+from itypes.assign import Verdict, check_derivation, derives
+from itypes.classify import adequacy_report
+from itypes.syntax import NU, OMEGA, Arrow, Atom, parse_term, parse_type
 from itypes.theory import (
     BA_RULES,
     NamedTheory,
@@ -16,7 +18,6 @@ from itypes.theory import (
     spec_from_json,
     spec_to_json,
     validate,
-    validates_ao,
     validates_ba,
 )
 
@@ -41,9 +42,6 @@ def test_named_theories_validate(all_theories):
     for spec in all_theories.values():
         assert validate(spec) == []
         assert validates_ba(spec)
-    assert validates_ao(all_theories["ao"])
-    assert validates_ao(all_theories["bcd"])
-    assert not validates_ao(all_theories["ba"])
 
 
 def test_extra_atoms_are_letters():
@@ -100,6 +98,39 @@ def test_acyclic_equation_chain_accepted():
         {"a": parse_type("b -> b"), "b": parse_type("c -> c")},
     )
     assert validate(spec) == []
+
+
+def chain_spec(n: int, closed: bool = False):
+    """Atoms a0 ... a{n-1}, each but the last equated to an arrow over the
+    next; closed, the last is equated to an arrow over a0 too."""
+    atoms = [f"a{i}" for i in range(n)]
+    eqs = {a: Arrow(Atom(b), Atom(b)) for a, b in zip(atoms, atoms[1:])}
+    if closed:
+        eqs[atoms[-1]] = Arrow(Atom(atoms[0]), Atom(atoms[0]))
+    return make_spec(atoms, BA_RULES, eqs)
+
+
+def test_long_equation_chain_validates():
+    # one equation per stack frame would pass the interpreter's recursion limit
+    assert validate(chain_spec(1500)) == []
+    assert validate(chain_spec(1500, closed=True)) == [Violation.CYCLIC_EQUATIONS]
+
+
+def test_validation_runs_once_per_spec(monkeypatch):
+    from itypes import theory
+
+    calls = []
+    violations = theory._violations
+    monkeypatch.setattr(
+        theory, "_violations", lambda spec: calls.append(spec) or violations(spec)
+    )
+    spec = make_spec({"a", "b"}, BA_RULES, {"a": parse_type("b -> b")})
+    assert validate(spec) == validate(spec) == []
+    assert adequacy_report(spec).strict
+    v, d = derives(spec, {"x": parse_type("a")}, parse_term("x"), parse_type("b -> b"))
+    assert v is Verdict.YES
+    assert all(check_derivation(spec, d) for _ in range(10))
+    assert calls == [spec]
 
 
 def test_json_roundtrip(all_theories, tmp_path):
