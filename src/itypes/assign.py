@@ -25,8 +25,6 @@ from .syntax import (
     Atom,
     Inter,
     Lam,
-    NU,
-    OMEGA,
     Term,
     Type,
     Var,
@@ -143,12 +141,12 @@ def derivation_error(spec: TheorySpec, d: Derivation):
                     and not d.premises
                 )
             case "AxOmega":
-                ok = spec.has_omega and d.type == Atom(OMEGA) and not d.premises
+                ok = spec.has_omega and d.type is spec.omega and not d.premises
             case "AxNu":
                 ok = (
                     spec.has_nu
                     and isinstance(d.term, Lam)
-                    and d.type == Atom(NU)
+                    and d.type is spec.nu
                     and not d.premises
                 )
             case "ArrowI":
@@ -264,19 +262,51 @@ def _head_normal(m: Term, depth: int) -> tuple[Term | None, int]:
     return None, 0
 
 
+def _free_where_typed(spec: TheorySpec, ctx, n: Term) -> bool:
+    """Whether, in a theory without omega, a variable that ctx does not
+    bind occurs free in n at a place that every derivation of n types, so
+    that n has no type under ctx.  Without nu every place is one.  With nu
+    an abstraction has type nu by AxNu alone, so a place inside one counts
+    only when the abstraction is applied: applied to k arguments, it needs
+    a type below a chain of k arrows, which only ArrowI gives, and that
+    types its body below a chain of k - 1."""
+    if spec.omega is not None:
+        return False
+    # subterms, with the binders above them inside n and the number of
+    # arguments they are applied to
+    todo = [(n, frozenset(), 0)]
+    while todo:
+        m, bound, k = todo.pop()
+        kind = type(m)
+        if kind is Var:
+            if m.name not in bound and m.name not in ctx:
+                return True
+        elif kind is App:
+            todo += ((m.fun, bound, k + 1), (m.arg, bound, 0))
+        elif k or spec.nu is None:
+            todo.append((m.body, bound | {m.binder}, max(k - 1, 0)))
+    return False
+
+
+def _untypable(spec: TheorySpec, ctx, n: Term, depth: int) -> bool:
+    """Whether ``_free_where_typed`` finds that n has no type under ctx,
+    looking at n and, by subject reduction, at the term that n's head
+    contractions reach within depth."""
+    if _free_where_typed(spec, ctx, n):
+        return True
+    m, _ = _head_normal(n, depth)
+    return m is not None and _free_where_typed(spec, ctx, m)
+
+
 class _Untypable(Exception):
     """An argument that a contraction drops has no type at all."""
 
 
 class _Search:
     def __init__(self, spec: TheorySpec, budget: SearchBudget):
-        tables = spec.tables  # an invalid spec raises here, before any search
+        spec.tables  # an invalid spec raises here, before any search
         self.spec = spec
         self.budget = budget
-        # the theory's constants, read once
-        self.omega = tables.omega
-        self.nu = tables.nu
-        self.equations = tables.equations
         # verdict cache: YES/NO are depth-independent, UNKNOWN remembers the
         # largest depth that failed to settle the query
         self.cache: dict = {}
@@ -304,7 +334,7 @@ class _Search:
         return verdict, d
 
     def _derive_uncached(self, ctx, m, a, depth):
-        spec, omega = self.spec, self.omega
+        spec, omega = self.spec, self.spec.omega
         if omega is not None and leq(spec, omega, a):
             return Verdict.YES, _via_leq(ctx, m, _node("AxOmega", ctx, m, omega), a)
         kind = type(m)
@@ -314,7 +344,7 @@ class _Search:
                 return Verdict.YES, _via_leq(ctx, m, _node("Ax", ctx, m, t), a)
             return Verdict.NO, None
         if kind is Lam:
-            nu = self.nu
+            nu = spec.nu
             if nu is not None and leq(spec, nu, a):
                 return Verdict.YES, _via_leq(ctx, m, _node("AxNu", ctx, m, nu), a)
             return self._derive_lam(ctx, m, a, depth)
@@ -325,15 +355,16 @@ class _Search:
     # -- abstraction: decompose the target's conjuncts
 
     def _derive_lam(self, ctx, m, a, depth):
+        spec = self.spec
         results = []  # (conjunct Type, verdict, derivation)
-        for t in normalize(self.spec, a):
+        for t in normalize(spec, a):
             if type(t) is Arrow:
                 v, d = self._lam_arrow(ctx, m, t, depth)
-            elif t is self.nu:
+            elif t is spec.nu:
                 v, d = Verdict.YES, _node("AxNu", ctx, m, t)
-            elif t is self.omega:
+            elif t is spec.omega:
                 v, d = Verdict.YES, _node("AxOmega", ctx, m, t)
-            elif t.name in self.equations:
+            elif t.name in spec.equations:
                 v, d = self._lam_equation(ctx, m, t, depth)
             else:
                 # a plain atom can never be inhabited by an abstraction
@@ -355,7 +386,7 @@ class _Search:
 
     def _lam_equation(self, ctx, m, atom, depth):
         parts = []
-        for arrow in conjuncts(self.equations[atom.name]):
+        for arrow in conjuncts(self.spec.equations[atom.name]):
             v, d = self._lam_arrow(ctx, m, arrow, depth)
             if v is not Verdict.YES:
                 return v, None
@@ -479,12 +510,12 @@ class _Search:
         if copies:
             parts = [(t, _retarget(e, ctx, n)) for t, e in copies.items()]
             dn = self._inter_intro(ctx, n, parts)
-        elif self.omega is not None:
-            dn = _node("AxOmega", ctx, n, self.omega)
+        elif self.spec.omega is not None:
+            dn = _node("AxOmega", ctx, n, self.spec.omega)
         elif type(n) is Var and n.name in ctx:
             dn = _node("Ax", ctx, n, ctx[n.name])
-        elif type(n) is Lam and self.nu is not None:
-            dn = _node("AxNu", ctx, n, self.nu)
+        elif type(n) is Lam and self.spec.nu is not None:
+            dn = _node("AxNu", ctx, n, self.spec.nu)
         else:
             dn = self._dropped_argument(ctx, n, depth - 1)
             if dn is None:
@@ -498,18 +529,11 @@ class _Search:
         """A derivation of n : B, with B the type ``_synthesize`` gives n,
         searched once at depth; or None.  Without omega an argument that
         the contractum drops must still be typable, as in the lambda-I
-        calculus.
-
-        When n's head contractions reach a variable spine whose head ctx
-        does not bind, n has no type at all, by the generation lemma and
-        subject reduction, and neither has the redex: raise _Untypable."""
-        m, left = _head_normal(n, depth)
-        if m is None:
-            return None
-        head = _spine(m)[0]
-        if type(head) is Var and head.name not in ctx:
+        calculus.  When ``_untypable`` finds that n has no type, neither
+        has the redex: raise _Untypable."""
+        if _untypable(self.spec, ctx, n, depth):
             raise _Untypable
-        b = self._synthesize(ctx, m, left)
+        b = self._synthesize(ctx, n, depth)
         if b is None:
             return None
         v, d = self._derive(ctx, n, b, depth)
@@ -525,8 +549,8 @@ class _Search:
         if m is None:
             return None
         if type(m) is Lam:
-            if self.nu is not None:
-                return self.nu
+            if self.spec.nu is not None:
+                return self.spec.nu
             b = self._binder_type(ctx, m, depth)
             if b is None:
                 return None
@@ -552,10 +576,9 @@ class _Search:
         spine whose head ctx binds asks the meet of the arrow-head domains
         at its place, the heads iterated as if every one applied."""
         spec, y = self.spec, lam.binder
-        plain = min(spec.atoms - {OMEGA, NU}, default=None)
-        if plain is None:
+        if not spec.plain_atoms:
             return None
-        c = Atom(plain)
+        c = Atom(spec.plain_atoms[0])
         asks = [c]
         todo = [(lam.body, frozenset())]  # subterms, with the binders inside lam
         while todo:
@@ -608,7 +631,7 @@ class _Search:
         way.  Ni is searched at depth - (k - i + 1).  An argument the
         search cannot settle only drops a head, which weakens T_i: YES
         stays sound, NO becomes UNKNOWN."""
-        spec, omega = self.spec, self.omega
+        spec, omega = self.spec, self.spec.omega
         t = ctx.get(head.name, omega)
         if t is None:
             return Verdict.NO, None
@@ -634,10 +657,10 @@ class _Search:
         if head.name in ctx:
             d = _node("Ax", ctx, head, ctx[head.name])
         else:
-            d = _node("AxOmega", ctx, head, self.omega)
+            d = _node("AxOmega", ctx, head, self.spec.omega)
         for app, kept in zip(apps, steps):
             if not kept:
-                d = _node("AxOmega", ctx, app, self.omega)
+                d = _node("AxOmega", ctx, app, self.spec.omega)
                 continue
             da = self._inter_intro(ctx, app.arg, [(h.dom, e) for h, e in kept])
             cod = inter_of([h.cod for h, _ in kept])
@@ -690,11 +713,7 @@ def infer_types(
         raise ValueError(f"the size bound must be at least 1, not {size_bound}")
     search = _Search(spec, budget)
     _check_atoms(spec, ctx.values())
-    names = set(atoms) & spec.atoms
-    if spec.has_omega:
-        names.add(OMEGA)
-    if spec.has_nu:
-        names.add(NU)
+    names = spec.universe_atoms(spec.atoms.intersection(atoms))
     if len(names) ** size_bound > 10**6:
         raise ResourceLimit("type universe too large for enumeration")
     out = set()

@@ -13,8 +13,8 @@ from collections import namedtuple
 
 from .assign import Verdict
 from .subtype import eq, leq
-from .syntax import Arrow, Atom, NU, OMEGA, Type, conjuncts
-from .theory import BA_RULES, Rule, TheorySpec, validates_ba
+from .syntax import Arrow, Atom, Type, conjuncts
+from .theory import BA_RULES, TheorySpec, validates_ba
 
 
 def is_strict(spec: TheorySpec) -> bool:
@@ -30,7 +30,7 @@ def is_natural(spec: TheorySpec) -> bool:
     return (
         spec.has_omega
         and validates_ba(spec)
-        and (Rule.OMEGA_LAZY in spec.rules or Rule.OMEGA_ETA in spec.rules)
+        and (spec.omega_lazy or spec.omega_eta)
     )
 
 
@@ -57,18 +57,14 @@ def _fun_conjunct(spec: TheorySpec, a: Type) -> Verdict:
         case Arrow():
             return Verdict.YES
         case Atom(name):
-            if spec.has_nu and eq(spec, a, Atom(NU)):
+            if spec.has_nu and eq(spec, a, spec.nu):
                 return Verdict.YES
-            if spec.equation_for(name) is not None:
+            if name in spec.equations:
                 return Verdict.YES
-            if Rule.OMEGA_ETA in spec.rules and eq(spec, a, Atom(OMEGA)):
+            if spec.omega_eta and eq(spec, a, spec.omega):
                 return Verdict.YES
             return Verdict.NO
     raise TypeError(a)
-
-
-def _plain_atoms(spec: TheorySpec):
-    return sorted(a for a in spec.atoms if a not in (OMEGA, NU))
 
 
 def is_f_type_theory(spec: TheorySpec) -> Verdict:
@@ -78,24 +74,24 @@ def is_f_type_theory(spec: TheorySpec) -> Verdict:
     natural = is_natural(spec)
     if not strict and not natural:
         return Verdict.NO
-    if natural and Rule.OMEGA_ETA in spec.rules:
+    if natural and spec.omega_eta:
         # omega itself decomposes via omega ~ omega -> omega; every other
         # atom needs an explicit arrow equation
-        ok = all(spec.equation_for(a) is not None for a in _plain_atoms(spec))
+        ok = all(a in spec.equations for a in spec.plain_atoms)
         return Verdict.YES if ok else Verdict.NO
     if strict and spec.has_nu:
         ok = all(
-            leq(spec, Atom(NU), Atom(a)) or spec.equation_for(a) is not None
-            for a in _plain_atoms(spec)
+            leq(spec, spec.nu, Atom(a)) or a in spec.equations
+            for a in spec.plain_atoms
         )
         return Verdict.YES if ok else Verdict.NO
     if strict and spec.rules == BA_RULES and not spec.atom_equations:
         # plain-atom theories over the base rules are known to qualify
         return Verdict.YES
-    if natural and spec.atoms == frozenset({OMEGA}) and not spec.atom_equations:
+    if natural and not spec.plain_atoms and not spec.atom_equations:
         # the lazy theory over omega alone is known to qualify
         return Verdict.YES
-    if all(spec.equation_for(a) is not None for a in _plain_atoms(spec)):
+    if all(a in spec.equations for a in spec.plain_atoms):
         return Verdict.YES
     return Verdict.UNKNOWN
 
@@ -103,14 +99,19 @@ def is_f_type_theory(spec: TheorySpec) -> Verdict:
 class AdequacyReport(
     namedtuple(
         "AdequacyReport",
-        "strict natural inference_adequate simple_adequate f_type_theory"
-        " f_adequate notes",
+        "strict natural inference_adequate simple_adequate f_type_theory notes",
         defaults=((),),
     )
 ):
     """Which adequacy results apply to a theory, with a note on each."""
 
     __slots__ = ()
+
+    @property
+    def f_adequate(self) -> Verdict:
+        """Functional semantics adequacy, which holds exactly for F-type
+        theories."""
+        return self.f_type_theory
 
     def to_json(self) -> dict:
         return {
@@ -129,9 +130,7 @@ def adequacy_report(spec: TheorySpec) -> AdequacyReport:
     strict = is_strict(spec)
     natural = is_natural(spec)
     inference = strict or natural
-    simple = (strict and not spec.has_nu) or (
-        natural and Rule.OMEGA_ETA in spec.rules
-    )
+    simple = (strict and not spec.has_nu) or (natural and spec.omega_eta)
     f_type = is_f_type_theory(spec)
 
     notes = []
@@ -169,5 +168,5 @@ def adequacy_report(spec: TheorySpec) -> AdequacyReport:
             notes.append(
                 "functional semantics: undetermined for this spec shape"
             )
-    return AdequacyReport(strict, natural, inference, simple, f_type, f_type, notes)
+    return AdequacyReport(strict, natural, inference, simple, f_type, notes)
 

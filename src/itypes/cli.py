@@ -164,8 +164,7 @@ def _cmd_classify(args, spec, budget) -> int:
 def _cmd_laws(args, spec, budget) -> int:
     from .laws import run_all  # only this command pays for importing the laws
 
-    plain = sorted(a for a in spec.atoms if a not in ("omega", "nu"))
-    atoms = frozenset(plain[:2])
+    atoms = frozenset(spec.plain_atoms[:2])
     results = run_all(spec, atoms, _size(args), args.seed)
     # a skipped law checks nothing, so only the applicable ones can fail
     failed = [r for r in results if not r.ok]

@@ -13,17 +13,8 @@ from collections import namedtuple
 from .assign import SearchBudget, Verdict, derives
 from .errors import EmptyEnvFilter
 from .subtype import arrow_heads, canonical, leq
-from .syntax import (
-    Arrow,
-    Atom,
-    NU,
-    OMEGA,
-    Term,
-    Type,
-    free_vars,
-    inter_of,
-)
-from .theory import Rule, TheorySpec
+from .syntax import Arrow, Term, Type, free_vars, inter_of
+from .theory import TheorySpec
 
 
 class FiniteFilter(namedtuple("FiniteFilter", "generator", defaults=(None,))):
@@ -42,14 +33,14 @@ def up(*generators: Type) -> FiniteFilter:
 
 def member(spec: TheorySpec, x: FiniteFilter, a: Type) -> bool:
     if x.generator is None:
-        return spec.has_omega and leq(spec, Atom(OMEGA), a)
+        return spec.has_omega and leq(spec, spec.omega, a)
     return leq(spec, x.generator, a)
 
 
 def filter_leq(spec: TheorySpec, x: FiniteFilter, y: FiniteFilter) -> bool:
     """Subset order on filters: every member of x is a member of y."""
     if x.generator is None:
-        return True if not spec.has_omega else member(spec, y, Atom(OMEGA))
+        return True if not spec.has_omega else member(spec, y, spec.omega)
     return member(spec, y, x.generator)
 
 
@@ -59,7 +50,7 @@ def apply(spec: TheorySpec, x: FiniteFilter, y: FiniteFilter) -> FiniteFilter:
     if gen is None:
         if not spec.has_omega:
             return FiniteFilter(None)
-        gen = Atom(OMEGA)
+        gen = spec.omega
     cods = [h.cod for h in arrow_heads(spec, gen) if member(spec, y, h.dom)]
     if not cods:
         return FiniteFilter(None)
@@ -71,10 +62,10 @@ def make_abstraction_filter(spec: TheorySpec, table) -> FiniteFilter:
     together with nu when present (every abstraction has type nu)."""
     parts: list[Type] = [Arrow(a, b) for a, b in table]
     if spec.has_nu:
-        parts.append(Atom(NU))
+        parts.append(spec.nu)
     if not parts:
-        if Rule.OMEGA_ETA in spec.rules:
-            return FiniteFilter(Arrow(Atom(OMEGA), Atom(OMEGA)))
+        if spec.omega_eta:
+            return FiniteFilter(spec.omega_arrow)
         return FiniteFilter(None)
     return FiniteFilter(canonical(spec, inter_of(parts)))
 
@@ -83,9 +74,9 @@ def phi_membership(spec: TheorySpec, x: FiniteFilter) -> bool:
     """Membership in the functionality set: the filters that behave like
     functions under application."""
     if spec.has_omega:
-        return member(spec, x, Arrow(Atom(OMEGA), Atom(OMEGA)))
+        return member(spec, x, spec.omega_arrow)
     if spec.has_nu:
-        return member(spec, x, Atom(NU))
+        return member(spec, x, spec.nu)
     return True
 
 
@@ -104,7 +95,7 @@ def interpret_member(
         if f.generator is not None:
             ctx[x] = f.generator
         elif spec.has_omega:
-            ctx[x] = Atom(OMEGA)
+            ctx[x] = spec.omega
         else:
             raise EmptyEnvFilter(f"variable {x!r} is bound to the empty filter")
     v, _ = derives(spec, ctx, m, a, budget)

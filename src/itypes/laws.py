@@ -14,8 +14,7 @@ import random
 from .assign import (
     SearchBudget,
     Verdict,
-    _head_normal,
-    _spine,
+    _untypable,
     check_derivation,
     derives,
 )
@@ -30,7 +29,6 @@ from .filters import (
     up,
 )
 from .subtype import (
-    _universe_atoms,
     arrow_heads,
     canonical,
     canonical_types,
@@ -47,7 +45,6 @@ from .syntax import (
     Atom,
     Inter,
     Lam,
-    NU,
     OMEGA,
     Type,
     Var,
@@ -110,7 +107,7 @@ def _universe(spec: TheorySpec, atoms: frozenset, size: int):
 
 
 def _leq_matrix(spec: TheorySpec, atoms: frozenset, size: int):
-    types = enumerate_types(_universe_atoms(spec, atoms), size)
+    types = enumerate_types(spec.universe_atoms(atoms), size)
     index = {t: i for i, t in enumerate(types)}
     rows = [0] * len(types)
     for i, a in enumerate(types):
@@ -198,19 +195,18 @@ def oracle_agreement_law(spec: TheorySpec, atoms, size: int) -> LawResult:
     """Every subtyping the saturation oracle finds must be confirmed by leq."""
     types, index, rows = _universe(spec, frozenset(atoms), size)
     oindex, osucc = oracle_relation(spec, atoms, size)
-    by_index = [None] * len(oindex)
-    for t, i in oindex.items():
-        by_index[i] = t
     res = LawResult("oracle-agreement")
-    for t, i in oindex.items():
-        rest = osucc[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            res.checked += 1
-            u = by_index[j]
-            if not (rows[index[t]] >> index[u]) & 1:
-                res.failures.append((print_type(t), print_type(u)))
+    # both enumerate one universe in one order, so their bits line up
+    if oindex != index:
+        res.failures.append("the oracle's universe is not leq's")
+        return res
+    for i, t in enumerate(types):
+        res.checked += osucc[i].bit_count()
+        missing = osucc[i] & ~rows[i]
+        while missing:
+            j = (missing & -missing).bit_length() - 1
+            missing &= missing - 1
+            res.failures.append((print_type(t), print_type(types[j])))
     return res
 
 
@@ -243,8 +239,8 @@ def normal_form_laws(spec: TheorySpec, atoms, size: int) -> LawResult:
 
 
 def filter_laws(spec: TheorySpec, atoms, size: int) -> list[LawResult]:
-    gens = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), size)
-    small = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), min(size, 3))
+    gens = canonical_types(spec, spec.universe_atoms(atoms), size)
+    small = canonical_types(spec, spec.universe_atoms(atoms), min(size, 3))
 
     upward = LawResult("filter-upward-closure")
     intersect = LawResult("filter-inter-closure")
@@ -266,10 +262,9 @@ def filter_laws(spec: TheorySpec, atoms, size: int) -> list[LawResult]:
                         )
 
     simple = LawResult("prop-simple")
-    oo = Arrow(Atom(OMEGA), Atom(OMEGA))
     for g in gens:
         x = FiniteFilter(g)
-        if spec.has_omega and not member(spec, x, oo):
+        if spec.has_omega and not member(spec, x, spec.omega_arrow):
             continue
         for a in small:
             # b in x . up(a) iff a -> b in x, applying x to up(a) once
@@ -294,7 +289,7 @@ def filter_laws(spec: TheorySpec, atoms, size: int) -> list[LawResult]:
 
 def fun_recursion_law(spec: TheorySpec, atoms, size: int) -> LawResult:
     """fun(A & B) is the three-valued disjunction of fun(A) and fun(B)."""
-    types = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), size)
+    types = canonical_types(spec, spec.universe_atoms(atoms), size)
     res = LawResult("fun-recursion")
     for a, b in itertools.product(types, types):
         res.checked += 1
@@ -314,7 +309,7 @@ def fun_phi_law(spec: TheorySpec, atoms, size: int) -> LawResult:
     if not (is_strict(spec) or is_natural(spec)):
         res.skipped = "neither strict nor natural"
         return res
-    types = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), size)
+    types = canonical_types(spec, spec.universe_atoms(atoms), size)
     for a in types:
         if fun_predicate(spec, a) is not Verdict.YES:
             continue
@@ -341,7 +336,7 @@ def _judgments(spec: TheorySpec, atoms, seed: int, count: int, budget):
     """Seeded random judgments with the search's answers, drawn until count
     of them are Yes or count * 60 have been drawn."""
     rng = random.Random(seed)
-    pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
+    pool = canonical_types(spec, spec.universe_atoms(atoms), 4)
     yes = 0
     for _ in range(count * 60):
         if yes >= count:
@@ -395,7 +390,7 @@ def spine_filter_law(
     Context types are meets of two canonical types of size at most 4."""
     res = LawResult("spine-filter")
     rng = random.Random(seed)
-    pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
+    pool = canonical_types(spec, spec.universe_atoms(atoms), 4)
     budget = SearchBudget(max_depth=16)
     names = ("x", "y", "z")
     for _ in range(samples):
@@ -452,14 +447,12 @@ def _contract_one(rng: random.Random, m):
     return rebuild(m, path), all(step == "fun" for step in path)
 
 
-def _head_unbound(ctx, m) -> bool:
-    """Whether the argument of m's head redex reaches, within 16 head
-    contractions, a spine whose head variable ctx does not bind."""
+def _head_unbound(spec: TheorySpec, ctx, m) -> bool:
+    """Whether ``assign._untypable`` finds, within 16 head contractions,
+    that the argument of m's head redex has no type under ctx."""
     while type(m.fun) is not Lam:
         m = m.fun
-    n, _ = _head_normal(m.arg, 17)
-    head = None if n is None else _spine(n)[0]
-    return type(head) is Var and head.name not in ctx
+    return _untypable(spec, ctx, m.arg, 17)
 
 
 def subject_reduction_law(
@@ -470,13 +463,14 @@ def subject_reduction_law(
     random, is contracted to C.  Subject reduction (every theory the search
     accepts) forbids R YES with C NO.  Subject expansion forbids C YES with
     R NO where it holds: with omega, or when R is the head redex, which
-    the search decides through its contractum, and its argument has a
-    type.  Without omega an argument whose head contractions reach a spine
-    headed by a variable outside the context has none, and a typed term
-    has every subterm typed.  Every YES derivation checks."""
+    the search decides through its contractum, and its argument is not
+    one that ``_head_unbound`` finds without a type: one that has, or
+    whose head contractions reach a term that has, a variable outside the
+    context free at a place every derivation types.  Without omega a typed
+    term has every such place typed.  Every YES derivation checks."""
     res = LawResult("subject-reduction")
     rng = random.Random(seed)
-    pool = canonical_types(spec, _universe_atoms(spec, frozenset(atoms)), 4)
+    pool = canonical_types(spec, spec.universe_atoms(atoms), 4)
     budget = SearchBudget(max_depth=16)
     for _ in range(samples):
         m = App(
@@ -496,7 +490,7 @@ def subject_reduction_law(
                 res.failures.append((str(m), str(c), print_type(a), "bad-derivation"))
         if vm is Verdict.YES and vc is Verdict.NO:
             res.failures.append((str(m), str(c), print_type(a), "reduction"))
-        expands = spec.has_omega or (at_head and not _head_unbound(ctx, m))
+        expands = spec.has_omega or (at_head and not _head_unbound(spec, ctx, m))
         if expands and vc is Verdict.YES and vm is Verdict.NO:
             res.failures.append((str(m), str(c), print_type(a), "expansion"))
     return res
@@ -551,7 +545,7 @@ def fun_alternative_check(spec: TheorySpec, corpus) -> LawResult:
         rec = fun_predicate(spec, a)
         if rec is Verdict.UNKNOWN:
             continue
-        alt = (spec.has_nu and eq(spec, a, Atom(NU))) or (
+        alt = (spec.has_nu and eq(spec, a, spec.nu)) or (
             _arrow_decomposition(spec, a) is not None
         )
         if (rec is Verdict.YES) != alt:
@@ -574,7 +568,7 @@ def hindley_rule_check(
     counted.  The default corpus is the variable x under x : premise."""
     if not spec.has_omega:
         raise UnsupportedTheory("the rule is only meaningful with omega present")
-    omega = Atom(OMEGA)
+    omega = spec.omega
     premise_type = omega
     for _ in range(n):
         premise_type = Arrow(omega, premise_type)

@@ -26,8 +26,6 @@ from .syntax import (
     Arrow,
     Atom,
     Inter,
-    NU,
-    OMEGA,
     Type,
     conjuncts,
     inter_of,
@@ -70,16 +68,12 @@ def _eta(pdom, pcod):
     return Proof("eta", Arrow(pdom.rhs, pcod.lhs), Arrow(pdom.lhs, pcod.rhs), (pdom, pcod))
 
 
-_OMEGA = Atom(OMEGA)
-_OMEGA_ARROW = Arrow(_OMEGA, _OMEGA)
-
-
 def _axiom_ok(spec: TheorySpec, special, rule, lhs, rhs) -> bool:
     """Whether ``lhs <= rhs`` is an instance of the premise-free ``rule``;
     ``special`` names the special rules of the theory."""
     match rule:
         case "omega-top":
-            return "omega-top" in special and rhs == _OMEGA
+            return "omega-top" in special and rhs is spec.omega
         case "refl":
             return lhs == rhs
         case "idem":
@@ -89,11 +83,14 @@ def _axiom_ok(spec: TheorySpec, special, rule, lhs, rhs) -> bool:
         case "incl-r":
             return isinstance(lhs, Inter) and lhs.right == rhs
         case "omega-eta":
-            return "omega-eta" in special and lhs == _OMEGA and rhs == _OMEGA_ARROW
+            return (
+                "omega-eta" in special and lhs is spec.omega
+                and rhs is spec.omega_arrow
+            )
         case "omega-lazy":
             return (
                 "omega-lazy" in special and isinstance(lhs, Arrow)
-                and rhs == _OMEGA_ARROW
+                and rhs is spec.omega_arrow
             )
         case "arrow-inter":
             if "arrow-inter" not in special:
@@ -103,26 +100,31 @@ def _axiom_ok(spec: TheorySpec, special, rule, lhs, rhs) -> bool:
                     return a1 == a2 == a3 and b == b2 and c == c2
             return False
         case "nu-top":
-            return "nu-top" in special and isinstance(lhs, Arrow) and rhs == Atom(NU)
+            return "nu-top" in special and isinstance(lhs, Arrow) and rhs is spec.nu
         case "eq-unfold":
-            return isinstance(lhs, Atom) and spec.equation_for(lhs.name) == rhs
+            return isinstance(lhs, Atom) and spec.equations.get(lhs.name) is rhs
         case "eq-fold":
-            return isinstance(rhs, Atom) and spec.equation_for(rhs.name) == lhs
+            return isinstance(rhs, Atom) and spec.equations.get(rhs.name) is lhs
     return False
 
 
 def check_proof(spec: TheorySpec, p: Proof) -> bool:
     """Verify that every node is a correct instance of a primitive rule the
     theory has.  The walk keeps an explicit stack, so a proof's depth is
-    bounded only by memory."""
+    bounded only by memory, and checks a node that premises share once."""
     special = spec.rule_names
+    seen = set()  # the ids of the nodes with premises checked so far
     todo = [p]
     while todo:
-        rule, lhs, rhs, premises = todo.pop()
+        node = todo.pop()
+        rule, lhs, rhs, premises = node
         if not premises:
             if not _axiom_ok(spec, special, rule, lhs, rhs):
                 return False
             continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         # trans, mon and eta take two premises; every other rule none
         if len(premises) != 2:
             return False
@@ -190,33 +192,33 @@ def _projections(t: Type):
 
 def _leq_parts(a: Type, proofs) -> Proof:
     """a <= t1 & ... & tn (right-nested), from proofs of a <= t_i.  The
-    result's rhs has exactly the ``inter_of`` shape over the t_i."""
-    if len(proofs) == 1:
-        return proofs[0]
-    rest = _leq_parts(a, proofs[1:])
-    return _trans(Proof("idem", a, Inter(a, a)), _mon(proofs[0], rest))
+    result's rhs has exactly the ``inter_of`` shape over the t_i.  Built
+    from the last part back, on a loop."""
+    idem = Proof("idem", a, Inter(a, a))
+    p = proofs[-1]
+    for q in reversed(proofs[:-1]):
+        p = _trans(idem, _mon(q, p))
+    return p
 
 
 def _arrow_family(t: Type) -> Proof:
-    """For t an intersection of arrows: t <= (inter of doms) -> (inter of cods)."""
-    if isinstance(t, Arrow):
-        return _refl(t)
-    assert isinstance(t, Inter)
-    head = t.left
-    assert isinstance(head, Arrow)
-    p_rest = _arrow_family(t.right)
-    rest_arrow = p_rest.rhs  # (∩A') -> (∩B')
-    lifted = _mon(_refl(head), p_rest)  # t <= head ∩ rest_arrow
-    dom = Inter(head.dom, rest_arrow.dom)
-    q1 = _eta(Proof("incl-l", dom, head.dom), _refl(head.cod))
-    q2 = _eta(Proof("incl-r", dom, rest_arrow.dom), _refl(rest_arrow.cod))
-    weakened = _mon(q1, q2)
-    ai = Proof(
-        "arrow-inter",
-        weakened.rhs,
-        Arrow(dom, Inter(head.cod, rest_arrow.cod)),
-    )
-    return _trans(lifted, _trans(weakened, ai))
+    """For t a right-nested intersection of arrows: t <= (inter of doms) ->
+    (inter of cods).  Built from the last arrow back, on a loop."""
+    heads = []
+    while isinstance(t, Inter):
+        heads.append(t.left)
+        t = t.right
+    p = _refl(t)
+    for head in reversed(heads):
+        rest = p.rhs  # (∩A') -> (∩B')
+        lifted = _mon(_refl(head), p)  # the meet from head on <= head ∩ rest
+        dom = Inter(head.dom, rest.dom)
+        q1 = _eta(Proof("incl-l", dom, head.dom), _refl(head.cod))
+        q2 = _eta(Proof("incl-r", dom, rest.dom), _refl(rest.cod))
+        weakened = _mon(q1, q2)
+        ai = Proof("arrow-inter", weakened.rhs, Arrow(dom, Inter(head.cod, rest.cod)))
+        p = _trans(lifted, _trans(weakened, ai))
+    return p
 
 
 # ---------------------------------------------------------------- leq
@@ -226,8 +228,7 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
     """The arrows a lies below: its arrow conjuncts, the expansions of its
     equated atoms, and omega -> omega where omega-eta or omega-lazy gives it.
     Memoised in the theory's tables."""
-    tables = spec.tables
-    table = tables.heads
+    table = spec.tables.heads
     heads = table.get(a)
     if heads is None:
         found = []
@@ -235,11 +236,11 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
             if isinstance(leaf, Arrow):
                 found.append(leaf)
             elif isinstance(leaf, Atom):
-                rhs = tables.equations.get(leaf.name)
+                rhs = spec.equations.get(leaf.name)
                 if rhs is not None:
                     found.extend(conjuncts(rhs))
-        if tables.omega_eta or (tables.omega_lazy and found):
-            found.append(_OMEGA_ARROW)
+        if spec.omega_eta or (spec.omega_lazy and found):
+            found.append(spec.omega_arrow)
         heads = tuple(found)
         if len(table) >= TABLE_CAP:
             table.clear()
@@ -250,10 +251,9 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
 def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     """Decide a <= b without building a proof.  Decisions are memoised in
     the theory's tables; the case split is the one ``_build`` follows."""
-    tables = spec.tables  # before the shortcut: an invalid spec raises here
+    memo = spec.tables.leq  # before the shortcut: an invalid spec raises here
     if a is b:
         return True
-    memo = tables.leq
     key = (a, b)
     ok = memo.get(key)
     if ok is not None:
@@ -261,20 +261,20 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     if isinstance(b, Inter):
         ok = leq(spec, a, b.left) and leq(spec, a, b.right)
     elif isinstance(b, Atom):
-        if b is tables.omega:
+        if b is spec.omega:
             ok = True
         elif b in conjuncts(a):
             ok = True
-        elif b is tables.nu:
+        elif b is spec.nu:
             ok = bool(arrow_heads(spec, a))
         else:
-            rhs = tables.equations.get(b.name)
+            rhs = spec.equations.get(b.name)
             ok = rhs is not None and leq(spec, a, rhs)
     else:
         c, d = b.dom, b.cod
         heads = arrow_heads(spec, a)
         # omega-eta and omega-lazy hold only with omega
-        if (tables.omega_eta or (tables.omega_lazy and heads)) and leq(spec, _OMEGA, d):
+        if (spec.omega_eta or (spec.omega_lazy and heads)) and leq(spec, spec.omega, d):
             ok = True
         else:
             # beta-soundness step: take every head whose domain absorbs c
@@ -295,8 +295,7 @@ class _Head(namedtuple("_Head", "arrow proof")):
 def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
     """``arrow_heads`` with a proof of a <= head for each.  Memoised in the
     theory's tables."""
-    tables = spec.tables
-    table = tables.head_proofs
+    table = spec.tables.head_proofs
     heads = table.get(a)
     if heads is not None:
         return heads
@@ -305,17 +304,17 @@ def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
         if isinstance(leaf, Arrow):
             found.append(_Head(leaf, proof))
         elif isinstance(leaf, Atom):
-            rhs = tables.equations.get(leaf.name)
+            rhs = spec.equations.get(leaf.name)
             if rhs is not None:
                 base = _trans(proof, Proof("eq-unfold", leaf, rhs))
                 for arr, q in _projections(rhs):
                     found.append(_Head(arr, _trans(base, q)))
-    omega, oo = _OMEGA, _OMEGA_ARROW
-    if tables.omega_eta:
+    omega, oo = spec.omega, spec.omega_arrow
+    if spec.omega_eta:
         found.append(
             _Head(oo, _trans(Proof("omega-top", a, omega), Proof("omega-eta", omega, oo)))
         )
-    elif tables.omega_lazy and found:
+    elif spec.omega_lazy and found:
         first = found[0]
         found.append(
             _Head(oo, _trans(first.proof, Proof("omega-lazy", first.arrow, oo)))
@@ -341,32 +340,31 @@ def _build(spec: TheorySpec, a: Type, b: Type, memo: dict) -> Proof:
 
 
 def _build_uncached(spec, a, b, memo):
-    tables = spec.tables
     if isinstance(b, Inter):
         pl = _build(spec, a, b.left, memo)
         pr = _build(spec, a, b.right, memo)
         return _trans(Proof("idem", a, Inter(a, a)), _mon(pl, pr))
 
     if isinstance(b, Atom):
-        if b is tables.omega:
+        if b is spec.omega:
             return Proof("omega-top", a, b)
         for leaf, proof in _projections(a):
             if leaf is b:
                 return proof
-        if b is tables.nu:
+        if b is spec.nu:
             h = _head_proofs(spec, a)[0]
             return _trans(h.proof, Proof("nu-top", h.arrow, b))
-        rhs = tables.equations[b.name]
+        rhs = spec.equations[b.name]
         return _trans(_build(spec, a, rhs, memo), Proof("eq-fold", rhs, b))
 
     c, d = b.dom, b.cod
-    omega, oo = _OMEGA, _OMEGA_ARROW
+    omega, oo = spec.omega, spec.omega_arrow
     if (
-        (tables.omega_eta or (tables.omega_lazy and arrow_heads(spec, a)))
+        (spec.omega_eta or (spec.omega_lazy and arrow_heads(spec, a)))
         and leq(spec, omega, d)
     ):
         tail = _eta(Proof("omega-top", c, omega), _build(spec, omega, d, memo))  # Ω→Ω <= c→d
-        if tables.omega_eta:
+        if spec.omega_eta:
             return _trans(
                 Proof("omega-top", a, omega),
                 _trans(Proof("omega-eta", omega, oo), tail),
@@ -413,8 +411,7 @@ def normalize(spec: TheorySpec, t: Type) -> tuple[Type, ...]:
     """The canonical conjuncts of t: intersections flattened, arrow sides
     made canonical, duplicates and redundant omega dropped, sorted.
     Memoised in the theory's tables."""
-    tables = spec.tables
-    table = tables.canon
+    table = spec.tables.canon
     parts = table.get(t)
     if parts is None:
         seen = []
@@ -423,8 +420,9 @@ def normalize(spec: TheorySpec, t: Type) -> tuple[Type, ...]:
                 leaf = Arrow(canonical(spec, leaf.dom), canonical(spec, leaf.cod))
             if leaf not in seen:
                 seen.append(leaf)
-        if tables.omega is not None and len(seen) > 1:
-            seen = [c for c in seen if c is not _OMEGA]
+        omega = spec.omega
+        if omega is not None and len(seen) > 1:
+            seen = [c for c in seen if c is not omega]
         parts = tuple(sorted(seen, key=_conjunct_key))
         if len(table) >= TABLE_CAP:
             table.clear()
@@ -488,15 +486,6 @@ class OracleResult(enum.Enum):
 DEFAULT_UNIVERSE_CAP = 20000
 
 
-def _universe_atoms(spec: TheorySpec, extra) -> frozenset[str]:
-    atoms = set(extra)
-    if spec.has_omega:
-        atoms.add(OMEGA)
-    if spec.has_nu:
-        atoms.add(NU)
-    return frozenset(atoms)
-
-
 def _closure(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
     """The saturated relation over the universe, kept with the theory."""
     key = ("oracle", atoms, bound, cap)
@@ -516,9 +505,7 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
     def add(i, j):
         succ[i] |= 1 << j
 
-    omega = Atom(OMEGA)
-    oo = Arrow(omega, omega)
-    nu = Atom(NU)
+    omega, oo, nu = spec.omega, spec.omega_arrow, spec.nu
     rules = spec.rules
     arrows = [(i, t) for i, t in enumerate(universe) if isinstance(t, Arrow)]
     inters = [(i, t) for i, t in enumerate(universe) if isinstance(t, Inter)]
@@ -546,9 +533,9 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
     for i, t in arrows:
         if Rule.NU_TOP in rules and nu in index:
             add(i, index[nu])
-        if Rule.OMEGA_LAZY in rules and oo in index:
+        if spec.omega_lazy and oo in index:
             add(i, index[oo])
-    if Rule.OMEGA_ETA in rules and omega in index and oo in index:
+    if spec.omega_eta and omega in index and oo in index:
         add(index[omega], index[oo])
     for name, rhs in spec.atom_equations:
         at = Atom(name)
@@ -605,7 +592,7 @@ def oracle_relation(spec: TheorySpec, atoms, bound: int, cap: int = DEFAULT_UNIV
     """The saturated subtype relation over the finite universe, for bulk tests.
 
     Returns (index map type->i, successor bitmasks)."""
-    return _closure(spec, _universe_atoms(spec, frozenset(atoms)), bound, cap)
+    return _closure(spec, spec.universe_atoms(atoms), bound, cap)
 
 
 def leq_oracle(
@@ -619,7 +606,7 @@ def leq_oracle(
     derivation fits inside the universe."""
     from .syntax import type_atoms
 
-    atoms = _universe_atoms(spec, type_atoms(a) | type_atoms(b))
+    atoms = spec.universe_atoms(type_atoms(a) | type_atoms(b))
     index, succ = _closure(spec, atoms, universe_bound, cap)
     if a not in index or b not in index:
         return OracleResult.NOT_FOUND

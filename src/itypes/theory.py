@@ -65,38 +65,36 @@ class TheoryTables:
     canonical types of that universe; ``in_theory`` holds the types whose
     atoms the search has found in the theory.  Types are hash-consed, so the
     tables key on node identity.
-
-    The theory's constants are read once, here, for the decision and the
-    search: ``omega`` and ``nu`` are the nodes of those atoms, or None in a
-    theory without them; ``equations`` maps an equated atom's name to its
-    right side; ``omega_eta`` and ``omega_lazy`` say whether the theory has
-    those rules.
     """
 
-    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools", "in_theory",
-                 "omega", "nu", "equations", "omega_eta", "omega_lazy")
+    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools", "in_theory")
 
-    def __init__(self, spec: TheorySpec):
+    def __init__(self):
         self.leq: dict[tuple[Type, Type], bool] = {}
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
         self.head_proofs: dict[Type, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}
         self.pools: dict[tuple[frozenset[str], int], tuple[Type, ...]] = {}
         self.in_theory: set[Type] = set()
-        self.omega = Atom(OMEGA) if spec.has_omega else None
-        self.nu = Atom(NU) if spec.has_nu else None
-        self.equations: dict[str, Type] = dict(spec.atom_equations)
-        self.omega_eta = Rule.OMEGA_ETA in spec.rules
-        self.omega_lazy = Rule.OMEGA_LAZY in spec.rules
 
 
 class TheorySpec:
     """A theory: its constants, rules and atom equations, and a display
     ``name`` that equality and hashing ignore.  Immutable; the memo tables
     and other derived values are cached on the instance, in ``__dict__``,
-    and a theory nothing references is freed with them."""
+    and a theory nothing references is freed with them.
 
-    __slots__ = ("atoms", "rules", "atom_equations", "name", "__dict__", "__weakref__")
+    What the decision, the search, the filters and the classification read
+    of the theory is worked out once, when the spec is made: ``omega`` and
+    ``nu`` are the nodes of those atoms, or None in a theory without them,
+    and ``omega_arrow`` is omega -> omega, or None; ``equations`` maps an
+    equated atom's name to its right side; ``plain_atoms`` are the other
+    atoms, sorted; ``omega_eta`` and ``omega_lazy`` say whether the theory
+    has those rules."""
+
+    __slots__ = ("atoms", "rules", "atom_equations", "name", "omega", "nu",
+                 "omega_arrow", "equations", "plain_atoms", "omega_eta",
+                 "omega_lazy", "__dict__", "__weakref__")
 
     def __init__(
         self,
@@ -105,7 +103,17 @@ class TheorySpec:
         atom_equations: tuple[tuple[str, Type], ...] = (),
         name: str | None = None,
     ):
-        for field, value in zip(self.__slots__, (atoms, rules, atom_equations, name)):
+        omega = Atom(OMEGA) if OMEGA in atoms else None
+        values = (
+            atoms, rules, atom_equations, name, omega,
+            Atom(NU) if NU in atoms else None,
+            None if omega is None else Arrow(omega, omega),
+            dict(atom_equations),
+            tuple(sorted(atoms - {OMEGA, NU})),
+            Rule.OMEGA_ETA in rules,
+            Rule.OMEGA_LAZY in rules,
+        )
+        for field, value in zip(self.__slots__, values):
             object.__setattr__(self, field, value)
 
     def __setattr__(self, name, value):
@@ -136,17 +144,16 @@ class TheorySpec:
 
     @property
     def has_omega(self) -> bool:
-        return OMEGA in self.atoms
+        return self.omega is not None
 
     @property
     def has_nu(self) -> bool:
-        return NU in self.atoms
+        return self.nu is not None
 
-    def equation_for(self, atom: str) -> Type | None:
-        for name, rhs in self.atom_equations:
-            if name == atom:
-                return rhs
-        return None
+    def universe_atoms(self, atoms) -> frozenset[str]:
+        """atoms, with omega and nu where the theory has them: the atoms of
+        a type universe over atoms."""
+        return frozenset(atoms) | (self.atoms & {OMEGA, NU})
 
     @cached_property
     def tables(self) -> TheoryTables:
@@ -158,7 +165,7 @@ class TheorySpec:
             raise UnsupportedTheory(
                 "the subtype decision procedure needs the arrow-inter and eta rules"
             )
-        return TheoryTables(self)
+        return TheoryTables()
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -310,7 +317,7 @@ def validates_ba(spec: TheorySpec) -> bool:
 def spec_to_json(spec: TheorySpec) -> dict:
     return {
         "name": spec.name,
-        "atoms": sorted(a for a in spec.atoms if a not in (OMEGA, NU)),
+        "atoms": list(spec.plain_atoms),
         "omega": spec.has_omega,
         "nu": spec.has_nu,
         "rules": sorted(r.value for r in spec.rules),

@@ -473,15 +473,31 @@ def test_dropped_abstraction_typed_by_synthesis(ba, ctx, term, ty, arg_type):
         ("ba", {"y": "b", "z": "b -> b"}, r"(\z. \z. y) x", "a -> b"),
         ("ehr", {"y": "a -> nu", "z": "b -> a"}, r"(\y. \x. z) x", "nu"),
         ("ba", {"y": "b"}, r"(\z. y) ((\u. u) (w y))", "b"),
+        ("ba", {"x": "a"}, r"(\z. x) (\y. w)", "a"),
+        ("ba", {"x": "a"}, r"(\z. x) (\y. y w)", "a"),
+        # under nu only an applied abstraction's body must be typed
+        ("ehr", {"x": "a"}, r"(\z. x) ((\u. w) z)", "a"),
+        ("ehr", {"x": "a"}, r"(\z. x) ((\u. \v. w) z x)", "a"),
+        # the argument's head contraction reaches such a term
+        ("ehr", {"x": "a"}, r"(\z. x) ((\f. f x) (\v. w))", "a"),
     ],
 )
 def test_untypable_dropped_argument_is_no(all_theories, name, ctx, term, ty):
-    # the dropped argument's head contractions reach a spine headed by a
-    # variable the context does not bind: without omega it has no type, and
-    # a typed term has every subterm typed
+    # a variable the context does not bind occurs free where every
+    # derivation types it, in the dropped argument or in the term its head
+    # contractions reach: without omega the argument has no type, and
+    # neither has the redex
     spec = all_theories[name]
     ctx = {x: P(t) for x, t in ctx.items()}
     assert derives(spec, ctx, T(term), P(ty))[0] is Verdict.NO
+
+
+def test_dropped_abstraction_with_unbound_body_has_nu(ehr):
+    # AxNu types the abstraction without its body
+    v, d = derives(ehr, {"x": P("a")}, T(r"(\z. x) (\y. w)"), P("a"))
+    assert v is Verdict.YES
+    assert check_derivation(ehr, d)
+    assert d.premises[1].type == P("nu")
 
 
 def test_candidate_size_is_inert(ba, ehr):

@@ -12,7 +12,6 @@ from itypes.subtype import (
     OracleResult,
     Proof,
     _head_proofs,
-    _universe_atoms,
     arrow_heads,
     canonical,
     canonical_types,
@@ -171,7 +170,7 @@ def test_traces_match_golden_digest(all_theories):
     digest = hashlib.sha256()
     for name in ("ba", "ehr", "ao", "bcd"):
         spec = all_theories[name]
-        types = enumerate_types(_universe_atoms(spec, frozenset({"a", "b"})), 4)
+        types = enumerate_types(spec.universe_atoms({"a", "b"}), 4)
         for a in types:
             for b in types:
                 trace = leq_trace(spec, a, b)
@@ -185,11 +184,19 @@ def test_traces_match_golden_digest(all_theories):
 def test_arrow_heads_match_their_proofs(all_theories):
     spec_eq = make_spec({"a", "b"}, BA_RULES, {"a": P("(b -> b) & (b & b -> b)")})
     for spec in [*all_theories.values(), spec_eq]:
-        for t in enumerate_types(_universe_atoms(spec, frozenset({"a", "b"})), 4):
+        for t in enumerate_types(spec.universe_atoms({"a", "b"}), 4):
             heads = _head_proofs(spec, t)
             assert tuple(h.arrow for h in heads) == arrow_heads(spec, t)
             assert all(h.proof.lhs == t and h.proof.rhs == h.arrow for h in heads)
             assert all(check_proof(spec, h.proof) for h in heads)
+
+
+def test_trace_over_many_arrow_heads(ba):
+    # one head per conjunct: the trace combines 3,000 selected heads
+    lhs = P(" & ".join(["(a -> a)"] * 3000))
+    p = leq_trace(ba, lhs, P("a -> a"))
+    assert p.lhs is lhs and p.rhs is P("a -> a")
+    assert check_proof(ba, p)
 
 
 def test_trace_is_none_on_failure(ba):

@@ -29,6 +29,24 @@ def test_named_theories_have_expected_constants(all_theories):
     assert all_theories["bcd"].has_omega and not all_theories["bcd"].has_nu
 
 
+def test_constants_are_worked_out_with_the_spec(all_theories):
+    ao, bcd, ehr = all_theories["ao"], all_theories["bcd"], all_theories["ehr"]
+    omega = Atom(OMEGA)
+    assert bcd.omega is omega and bcd.nu is None
+    assert bcd.omega_arrow is Arrow(omega, omega)
+    assert bcd.omega_eta and not bcd.omega_lazy
+    assert ao.omega_lazy and not ao.omega_eta
+    assert ehr.nu is Atom(NU) and ehr.omega is None and ehr.omega_arrow is None
+    assert bcd.plain_atoms == ehr.plain_atoms == ("a", "b")
+    assert bcd.universe_atoms({"c"}) == {"c", OMEGA}
+    assert ehr.universe_atoms(()) == {NU}
+    spec = make_spec({"b", "a"}, BA_RULES, {"a": parse_type("b -> b")})
+    assert spec.equations == {"a": parse_type("b -> b")}
+    copied = pickle.loads(pickle.dumps(spec))
+    assert copied == spec and copied.equations == spec.equations
+    assert copied.plain_atoms == ("a", "b")
+
+
 def test_named_theories_have_expected_rules(all_theories):
     for spec in all_theories.values():
         assert BA_RULES <= spec.rules
@@ -140,6 +158,21 @@ def test_json_roundtrip(all_theories, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         assert load_spec(path) == spec
+
+
+def test_json_of_named_theories(all_theories):
+    names = ("ba", "ehr", "ao", "bcd")
+    lines = [json.dumps(spec_to_json(all_theories[n])) for n in names]
+    assert lines == [
+        '{"name": "ba", "atoms": ["a", "b"], "omega": false, "nu": false, '
+        '"rules": ["arrow-inter", "eta"], "equations": {}}',
+        '{"name": "ehr", "atoms": ["a", "b"], "omega": false, "nu": true, '
+        '"rules": ["arrow-inter", "eta", "nu-top"], "equations": {}}',
+        '{"name": "ao", "atoms": ["a", "b"], "omega": true, "nu": false, '
+        '"rules": ["arrow-inter", "eta", "omega-lazy", "omega-top"], "equations": {}}',
+        '{"name": "bcd", "atoms": ["a", "b"], "omega": true, "nu": false, '
+        '"rules": ["arrow-inter", "eta", "omega-eta", "omega-top"], "equations": {}}',
+    ]
 
 
 def test_json_roundtrip_with_equations():
