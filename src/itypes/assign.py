@@ -75,15 +75,12 @@ class SearchBudget(namedtuple("SearchBudget", "max_candidate_type_size max_depth
 
 # ---------------------------------------------------------------- derivations
 
-class Derivation(
-    namedtuple(
-        "Derivation", "rule ctx term type premises leq_pair", defaults=((), None)
-    )
-):
+class Derivation(namedtuple("Derivation", "rule ctx term type premises", defaults=((),))):
     """One node of a type-assignment derivation: ``ctx |- term : type`` by
-    ``rule``, with ``ctx`` a sorted tuple of (variable, type) pairs and
-    ``leq_pair`` the subtype step of a ``Leq`` node.  An immutable tuple
-    node, like ``subtype.Proof``: equality and hashing by value."""
+    ``rule``, with ``ctx`` a sorted tuple of (variable, type) pairs.  The
+    subtype step of a ``Leq`` node runs from its premise's type to its own.
+    An immutable tuple node, like ``subtype.Proof``: equality and hashing
+    by value."""
 
     __slots__ = ()
 
@@ -92,8 +89,8 @@ def _ctx_tuple(ctx: Basis) -> tuple:
     return tuple(sorted(ctx.items()))
 
 
-def make_derivation(rule, ctx, term, type_, premises=(), leq_pair=None):
-    return Derivation(rule, _ctx_tuple(ctx), term, type_, tuple(premises), leq_pair)
+def make_derivation(rule, ctx, term, type_, premises=()):
+    return Derivation(rule, _ctx_tuple(ctx), term, type_, tuple(premises))
 
 
 class _Context(dict):
@@ -115,8 +112,8 @@ def _context(bindings, x=None, t=None) -> _Context:
     return ctx
 
 
-def _node(rule, ctx: _Context, term, type_, premises=(), leq_pair=None):
-    return Derivation(rule, ctx.key, term, type_, premises, leq_pair)
+def _node(rule, ctx: _Context, term, type_, premises=()):
+    return Derivation(rule, ctx.key, term, type_, premises)
 
 
 def check_derivation(spec: TheorySpec, d: Derivation) -> bool:
@@ -180,12 +177,9 @@ def derivation_error(spec: TheorySpec, d: Derivation):
             case "Leq":
                 ok = (
                     len(d.premises) == 1
-                    and d.leq_pair is not None
                     and d.premises[0].ctx == d.ctx
                     and d.premises[0].term == d.term
-                    and d.premises[0].type == d.leq_pair[0]
-                    and d.type == d.leq_pair[1]
-                    and leq(spec, *d.leq_pair)
+                    and leq(spec, d.premises[0].type, d.type)
                 )
             case _:
                 ok = False
@@ -205,7 +199,7 @@ def derivation_error(spec: TheorySpec, d: Derivation):
 def _via_leq(ctx, term, got: Derivation, want: Type) -> Derivation:
     if got.type is want:
         return got
-    return _node("Leq", ctx, term, want, (got,), (got.type, want))
+    return _node("Leq", ctx, term, want, (got,))
 
 
 def _retarget(d: Derivation, ctx: _Context, m: Term, hole=None) -> Derivation:
@@ -223,7 +217,7 @@ def _retarget(d: Derivation, ctx: _Context, m: Term, hole=None) -> Derivation:
             n = len(out) - len(d.premises)
             premises = tuple(out[n:])
             del out[n:]
-            out.append(_node(d.rule, ctx, m, d.type, premises, d.leq_pair))
+            out.append(_node(d.rule, ctx, m, d.type, premises))
         elif hole is not None and type(m) is Var and m.name == hole[0]:
             out.append(_via_leq(ctx, m, _node("Ax", ctx, m, hole[1]), d.type))
         else:
@@ -362,8 +356,6 @@ class _Search:
                 v, d = self._lam_arrow(ctx, m, t, depth)
             elif t is spec.nu:
                 v, d = Verdict.YES, _node("AxNu", ctx, m, t)
-            elif t is spec.omega:
-                v, d = Verdict.YES, _node("AxOmega", ctx, m, t)
             elif t.name in spec.equations:
                 v, d = self._lam_equation(ctx, m, t, depth)
             else:
@@ -467,9 +459,7 @@ class _Search:
                 if any(p is None for p in premises):
                     out.append(None)
                 else:
-                    out.append(_node(d.rule, ctx, m, d.type, premises, d.leq_pair))
-            elif d.rule == "AxOmega":
-                out.append(_node("AxOmega", ctx, m, d.type))
+                    out.append(_node(d.rule, ctx, m, d.type, premises))
             elif i == 0:
                 out.append(self._expand_redex(ctx, m, d, depth))
             else:
@@ -626,13 +616,13 @@ class _Search:
         By the generation lemma and beta-soundness the types of x N1 ... Ni
         are the upward closure of T_i: T_0 is the type of x, and T_i meets
         the codomains of the arrow heads of T_(i-1) whose domains Ni has.
-        With no such head, x N1 ... Ni has only the types above omega: none
-        at all in a theory without omega.  An unbound x is treated the same
-        way.  Ni is searched at depth - (k - i + 1).  An argument the
+        With no such head, or with x unbound, x N1 ... Ni has only the types
+        above omega, and none without omega; ``_derive_uncached`` answers
+        every target above omega before it comes here, so the spine is
+        refuted.  Ni is searched at depth - (k - i + 1).  An argument the
         search cannot settle only drops a head, which weakens T_i: YES
         stays sound, NO becomes UNKNOWN."""
-        spec, omega = self.spec, self.spec.omega
-        t = ctx.get(head.name, omega)
+        t = ctx.get(head.name)
         if t is None:
             return Verdict.NO, None
         settled = True
@@ -641,27 +631,18 @@ class _Search:
         for i, app in enumerate(apps):
             kept, all_settled = self._step(ctx, t, app.arg, depth - (k - i))
             settled = settled and all_settled
-            if kept:
-                t = inter_of([h.cod for h, _ in kept])
-            elif omega is not None:
-                t = omega
-            else:
+            if not kept:
                 return (Verdict.NO if settled else Verdict.UNKNOWN), None
+            t = inter_of([h.cod for h, _ in kept])
             steps.append(kept)
-        if not leq(spec, t, a):
+        if not leq(self.spec, t, a):
             return (Verdict.NO if settled else Verdict.UNKNOWN), None
         return Verdict.YES, self._spine_derivation(ctx, head, apps, steps, a)
 
     def _spine_derivation(self, ctx, head, apps, steps, a):
         """The derivation of x N1 ... Nk : a that _invert_spine's steps give."""
-        if head.name in ctx:
-            d = _node("Ax", ctx, head, ctx[head.name])
-        else:
-            d = _node("AxOmega", ctx, head, self.spec.omega)
+        d = _node("Ax", ctx, head, ctx[head.name])
         for app, kept in zip(apps, steps):
-            if not kept:
-                d = _node("AxOmega", ctx, app, self.spec.omega)
-                continue
             da = self._inter_intro(ctx, app.arg, [(h.dom, e) for h, e in kept])
             cod = inter_of([h.cod for h, _ in kept])
             df = _via_leq(ctx, app.fun, d, Arrow(da.type, cod))
@@ -748,38 +729,43 @@ def derivation_to_json(d: Derivation) -> dict:
             type=show(d.type),
             premises=premises,
         )
-        if d.leq_pair is not None:
-            data["leq"] = [show(d.leq_pair[0]), show(d.leq_pair[1])]
+        if d.rule == "Leq" and d.premises:
+            data["leq"] = [show(d.premises[0].type), show(d.type)]
         todo += zip(d.premises, premises)
     return root
 
 
 def derivation_from_json(data: dict) -> Derivation:
+    """The derivation that ``derivation_to_json`` wrote as data.  A ``leq``
+    entry must read [the premise's type, the node's type] of a ``Leq`` node
+    with premises, as ``derivation_to_json`` writes it; any other raises
+    ValueError."""
     out = []  # finished derivations, premises in order
-    # frames: a node's JSON, or the pair (the node without its premises,
-    # their number) once those premises are finished
+    # frames: a node's JSON, or the triple (the node without its premises,
+    # their number, its leq entry parsed) once those premises are finished
     todo = [data]
     while todo:
         data = todo.pop()
         if type(data) is tuple:
-            node, n = data
+            node, n, step = data
             n = len(out) - n
-            premises = tuple(out[n:])
+            node = node._replace(premises=tuple(out[n:]))
             del out[n:]
-            out.append(node._replace(premises=premises))
+            want = None
+            if node.rule == "Leq" and node.premises:
+                want = (node.premises[0].type, node.type)
+            if step != want:
+                raise ValueError(f"a {node.rule} node with a wrong leq entry")
+            out.append(node)
             continue
-        leq_pair = None
-        if "leq" in data:
-            leq_pair = (parse_type(data["leq"][0]), parse_type(data["leq"][1]))
+        step = tuple(map(parse_type, data["leq"])) if "leq" in data else None
         node = Derivation(
             data["rule"],
             _ctx_tuple({x: parse_type(t) for x, t in data.get("ctx", {}).items()}),
             parse_term(data["term"]),
             parse_type(data["type"]),
-            (),
-            leq_pair,
         )
         premises = data.get("premises", [])
-        todo.append((node, len(premises)))
+        todo.append((node, len(premises), step))
         todo += reversed(premises)
     return out.pop()

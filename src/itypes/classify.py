@@ -34,36 +34,24 @@ def is_natural(spec: TheorySpec) -> bool:
     )
 
 
-def _tri_or(a: Verdict, b: Verdict) -> Verdict:
-    if Verdict.YES in (a, b):
-        return Verdict.YES
-    if a is Verdict.NO and b is Verdict.NO:
-        return Verdict.NO
-    return Verdict.UNKNOWN
-
-
 def fun_predicate(spec: TheorySpec, a: Type) -> Verdict:
     """Whether a is a functional type: an arrow, an intersection with a
-    functional conjunct, or an atom equivalent to one."""
+    functional conjunct, or an atom equivalent to one.  Always YES or NO."""
     spec.require_valid()
-    out = Verdict.NO  # the unit of _tri_or
-    for c in conjuncts(a):
-        out = _tri_or(out, _fun_conjunct(spec, c))
-    return out
+    found = any(_fun_conjunct(spec, c) for c in conjuncts(a))
+    return Verdict.YES if found else Verdict.NO
 
 
-def _fun_conjunct(spec: TheorySpec, a: Type) -> Verdict:
+def _fun_conjunct(spec: TheorySpec, a: Type) -> bool:
     match a:
         case Arrow():
-            return Verdict.YES
+            return True
         case Atom(name):
-            if spec.has_nu and eq(spec, a, spec.nu):
-                return Verdict.YES
-            if name in spec.equations:
-                return Verdict.YES
-            if spec.omega_eta and eq(spec, a, spec.omega):
-                return Verdict.YES
-            return Verdict.NO
+            return (
+                (spec.has_nu and eq(spec, a, spec.nu))
+                or name in spec.equations
+                or (spec.omega_eta and eq(spec, a, spec.omega))
+            )
     raise TypeError(a)
 
 

@@ -72,7 +72,7 @@ def test_error_path_points_into_tree(ba):
     ctx = {"x": P("b -> a"), "y": P("a")}
     fun = make_derivation("Ax", ctx, T("x"), P("b -> a"))
     bad_leaf = make_derivation("Ax", ctx, T("y"), P("b"))
-    arg = make_derivation("Leq", ctx, T("y"), P("b"), (bad_leaf,), (P("b"), P("b")))
+    arg = make_derivation("Leq", ctx, T("y"), P("b"), (bad_leaf,))
     d = make_derivation("ArrowE", ctx, T("x y"), P("a"), (fun, arg))
     assert derivation_error(ba, d) == (1, 0)
 
@@ -92,13 +92,10 @@ def test_ax_nu_only_for_abstractions(ehr):
 
 def test_leq_node_verified_against_theory(ba):
     ax = make_derivation("Ax", {"x": P("a & b")}, T("x"), P("a & b"))
-    good = make_derivation(
-        "Leq", {"x": P("a & b")}, T("x"), P("a"), (ax,), (P("a & b"), P("a"))
-    )
+    good = make_derivation("Leq", {"x": P("a & b")}, T("x"), P("a"), (ax,))
     bad = make_derivation(
         "Leq", {"x": P("a")}, T("x"), P("b"),
         (make_derivation("Ax", {"x": P("a")}, T("x"), P("a")),),
-        (P("a"), P("b")),
     )
     assert check_derivation(ba, good)
     assert not check_derivation(ba, bad)
@@ -173,6 +170,21 @@ def test_abstraction_decomposes_intersections(ba):
 def test_headless_application_refuted(ba):
     # x has no functional type at all, so x y can never be typed
     assert derives(ba, {"x": P("a"), "y": P("b")}, T("x y"), P("a"))[0] is Verdict.NO
+
+
+@pytest.mark.parametrize("name", ["ao", "bcd"])
+def test_unbound_head_and_headless_step_refuted_with_omega(all_theories, name):
+    # such a spine has only the types above omega, which the search answers
+    # before it inverts the spine
+    spec = all_theories[name]
+    assert derives(spec, {}, T("x y"), P("a"))[0] is Verdict.NO
+    assert derives(spec, {"x": P("a -> a")}, T("x y z"), P("a"))[0] is Verdict.NO
+
+
+def test_unbound_head_refuted_beyond_the_depth(bcd):
+    # the arguments of x y ... y would be searched deeper than the budget
+    m = T("x" + " y" * 20)
+    assert derives(bcd, {}, m, P("a"), SearchBudget(max_depth=16))[0] is Verdict.NO
 
 
 def test_application_unknown_when_pool_exhausted(ba):
@@ -278,7 +290,7 @@ def test_deep_spine_derivation_checks(ba):
     # a wrong leaf under a chain of that depth is found at its full path
     bad = make_derivation("Ax", ctx, Var("y"), P("b"))
     for _ in range(n):
-        bad = make_derivation("Leq", ctx, Var("y"), P("b"), (bad,), (P("b"), P("b")))
+        bad = make_derivation("Leq", ctx, Var("y"), P("b"), (bad,))
     assert derivation_error(ba, bad) == (0,) * n
 
 
@@ -667,12 +679,12 @@ def test_deep_derivation_json_roundtrip(ba):
     ctx = {"x": P("a")}
     d = make_derivation("Ax", ctx, Var("x"), P("a"))
     for _ in range(n):
-        d = make_derivation("Leq", ctx, Var("x"), P("a"), (d,), (P("a"), P("a")))
+        d = make_derivation("Leq", ctx, Var("x"), P("a"), (d,))
     back = derivation_from_json(derivation_to_json(d))
     assert check_derivation(ba, back)
     # compared level by level: == on the tuples would recurse
     for _ in range(n + 1):
-        assert back[:4] == d[:4] and back.leq_pair == d.leq_pair
+        assert back[:4] == d[:4]
         assert len(back.premises) == len(d.premises)
         if d.premises:
             (back,), (d,) = back.premises, d.premises
@@ -683,3 +695,21 @@ def test_derivation_json_has_documented_shape(ba):
     data = derivation_to_json(d)
     assert set(data) <= {"rule", "ctx", "term", "type", "premises", "leq"}
     assert data["term"] == "x"
+
+
+def test_derivation_json_leq_entry_matches_its_node(ba):
+    # the entry reads [the premise's type, the node's type]; one that does
+    # not, or is missing from a Leq node or added to another, is an error
+    _, d = derives(ba, {"x": P("a & b")}, T("x"), P("a"))
+    data = derivation_to_json(d)
+    assert (data["rule"], data["leq"]) == ("Leq", ["a & b", "a"])
+    (premise,) = data["premises"]
+    bad = [
+        {**data, "leq": ["a & b", "b"]},
+        {**data, "leq": ["a", "a"]},
+        {k: v for k, v in data.items() if k != "leq"},
+        {**data, "premises": [{**premise, "leq": ["a & b", "a & b"]}]},
+    ]
+    for wrong in bad:
+        with pytest.raises(ValueError):
+            derivation_from_json(wrong)

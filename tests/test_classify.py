@@ -154,6 +154,17 @@ def test_run_all_rejects_size_below_one(ba):
             run_all(ba, {"a", "b"}, size, 0)
 
 
+@pytest.mark.parametrize("name", ["ba", "ao"])
+def test_run_all_with_an_atom_equation(name):
+    # the traces of this universe fold and unfold a = b -> b
+    base = named_theory(NamedTheory(name), 2)
+    spec = make_spec(base.atoms, base.rules, {"a": P("b -> b")})
+    results = run_all(spec, {"a", "b"}, 3, 0)
+    assert [r.name for r in results if not r.ok] == []
+    trace = next(r for r in results if r.name == "trace-soundness")
+    assert trace.checked > 0
+
+
 # ---------------------------------------------------------------- adequacy report
 
 

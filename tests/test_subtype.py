@@ -203,6 +203,13 @@ def test_trace_is_none_on_failure(ba):
     assert leq_trace(ba, P("a"), P("b")) is None
 
 
+def test_trace_folds_an_atom_equation():
+    spec = make_spec({"a", "b"}, BA_RULES, {"a": P("b -> b")})
+    p = leq_trace(spec, P("b -> b"), P("a"))
+    assert (p.rule, p.lhs, p.rhs) == ("eq-fold", P("b -> b"), P("a"))
+    assert check_proof(spec, p)
+
+
 def test_checker_rejects_wrong_rule_instances(ba, bcd):
     bogus = Proof("omega-top", P("a"), P("omega"))
     assert not check_proof(ba, bogus)  # rule not in theory
