@@ -519,22 +519,28 @@ class _Search:
         """A derivation of n : B, with B the type ``_synthesize`` gives n,
         searched once at depth; or None.  Without omega an argument that
         the contractum drops must still be typable, as in the lambda-I
-        calculus.  When ``_untypable`` finds that n has no type, neither
-        has the redex: raise _Untypable."""
+        calculus.  When ``_untypable`` or ``_synthesize`` finds that n has
+        no type, neither has the redex: raise _Untypable."""
         if _untypable(self.spec, ctx, n, depth):
             raise _Untypable
-        b = self._synthesize(ctx, n, depth)
+        b = self._synthesize(ctx, n, depth, exact=True)
         if b is None:
             return None
         v, d = self._derive(ctx, n, b, depth)
         return d if v is Verdict.YES else None
 
-    def _synthesize(self, ctx, n, depth):
+    def _synthesize(self, ctx, n, depth, exact=False):
         """A type for n in a theory without omega, or None: the type of the
         term that n's head contractions reach within depth.  A variable
         spine gets the type that ``_invert_spine`` iterates.  An
         abstraction \\y. M gets nu, or without nu B -> S, with B from
-        ``_binder_type`` and S synthesized for M under y : B."""
+        ``_binder_type`` and S synthesized for M under y : B.
+
+        With ``exact``, a variable spine that n reaches itself, and that a
+        step leaves with no head after every earlier step was settled, has
+        no type, as ``_invert_spine`` answers NO: raise _Untypable.  Only n
+        itself: under a binder type that ``_binder_type`` chose, another
+        choice may type the spine."""
         m, depth = _head_normal(n, depth)
         if m is None:
             return None
@@ -548,11 +554,15 @@ class _Search:
             return None if s is None else Arrow(b, s)
         head, apps = _spine(m)
         t = ctx.get(head.name)
+        settled = True
         k = len(apps)
         for i, app in enumerate(apps):
             if t is None:
                 break
-            kept, _ = self._step(ctx, t, app.arg, depth - (k - i))
+            kept, all_settled = self._step(ctx, t, app.arg, depth - (k - i))
+            settled = settled and all_settled
+            if not kept and settled and exact:
+                raise _Untypable
             t = inter_of([h.cod for h, _ in kept]) if kept else None
         return t
 

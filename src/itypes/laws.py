@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from .assign import (
     SearchBudget,
     Verdict,
-    _untypable,
+    _context,
+    _Search,
+    _Untypable,
     check_derivation,
     derives,
 )
@@ -421,11 +423,19 @@ def _contract_one(rng: random.Random, m):
 
 
 def _head_unbound(spec: TheorySpec, ctx, m) -> bool:
-    """Whether ``assign._untypable`` finds, within 16 head contractions,
-    that the argument of m's head redex has no type under ctx."""
+    """Whether the search, allowed 16 head contractions, finds that the
+    argument of m's head redex has no type under ctx, as it does for an
+    argument that the contraction drops: ``assign._untypable`` finds it, or
+    its head contractions reach a variable spine that a step leaves with
+    no type."""
     while type(m.fun) is not Lam:
         m = m.fun
-    return _untypable(spec, ctx, m.arg, 17)
+    try:
+        _Search(spec, SearchBudget(max_depth=17))._dropped_argument(
+            _context(ctx), m.arg, 17)
+    except _Untypable:
+        return True
+    return False
 
 
 def subject_reduction_law(
@@ -439,7 +449,8 @@ def subject_reduction_law(
     the search decides through its contractum, and its argument is not
     one that ``_head_unbound`` finds without a type: one that has, or
     whose head contractions reach a term that has, a variable outside the
-    context free at a place every derivation types.  Without omega a typed
+    context free at a place every derivation types, or one whose head
+    contractions reach a variable spine with no type.  Without omega a typed
     term has every such place typed.  Every YES derivation checks."""
     res = LawResult("subject-reduction")
     rng = random.Random(seed)

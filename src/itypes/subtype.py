@@ -251,13 +251,14 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
 def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     """Decide a <= b without building a proof.  Decisions are memoised in
     the theory's tables; the case split is the one ``_build`` follows."""
-    memo = spec.tables.leq  # before the shortcut: an invalid spec raises here
+    tables = spec.tables  # before the shortcut: an invalid spec raises here
     if a is b:
         return True
-    key = (a, b)
-    ok = memo.get(key)
-    if ok is not None:
-        return ok
+    row = tables.leq.get(a)
+    if row is not None:
+        ok = row.get(b)
+        if ok is not None:
+            return ok
     if isinstance(b, Inter):
         ok = leq(spec, a, b.left) and leq(spec, a, b.right)
     elif isinstance(b, Atom):
@@ -280,9 +281,17 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
             # beta-soundness step: take every head whose domain absorbs c
             cods = [h.cod for h in heads if leq(spec, c, h.dom)]
             ok = bool(cods) and leq(spec, inter_of(cods), d)
-    if len(memo) >= TABLE_CAP:
+    # one row per left type; the cap counts decisions over all rows, and a
+    # subgoal may have cleared the memo, so the row is looked up again
+    memo = tables.leq
+    if tables.leq_size >= TABLE_CAP:
         memo.clear()
-    memo[key] = ok
+        tables.leq_size = 0
+    row = memo.get(a)
+    if row is None:
+        row = memo[a] = {}
+    row[b] = ok
+    tables.leq_size += 1
     return ok
 
 

@@ -58,19 +58,23 @@ class TheoryTables:
     """Memo tables of one theory, filled by the subtype decision and by
     normalisation.
 
-    ``leq`` maps a pair ``(a, b)`` of types to the decision of ``a <= b``;
-    ``heads`` maps a type to its arrow heads, and ``head_proofs`` to those
-    heads with their proofs; ``canon`` maps a type to its canonical
-    conjuncts; ``pools`` maps ``(frozenset(atoms), max_size)`` to the
-    canonical types of that universe; ``in_theory`` holds the types whose
-    atoms the search has found in the theory.  Types are hash-consed, so the
-    tables key on node identity.
+    ``leq`` maps a left type ``a`` to its row, a dict from ``b`` to the
+    decision of ``a <= b``, and ``leq_size`` counts the decisions over all
+    rows, which ``TABLE_CAP`` bounds; ``heads`` maps a type to its arrow
+    heads, and ``head_proofs`` to those heads with their proofs; ``canon``
+    maps a type to its canonical conjuncts; ``pools`` maps
+    ``(frozenset(atoms), max_size)`` to the canonical types of that
+    universe; ``in_theory`` holds the types whose atoms the search has
+    found in the theory.  Types are hash-consed, so the tables key on node
+    identity.
     """
 
-    __slots__ = ("leq", "heads", "head_proofs", "canon", "pools", "in_theory")
+    __slots__ = ("leq", "leq_size", "heads", "head_proofs", "canon", "pools",
+                 "in_theory")
 
     def __init__(self):
-        self.leq: dict[tuple[Type, Type], bool] = {}
+        self.leq: dict[Type, dict[Type, bool]] = {}
+        self.leq_size = 0
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
         self.head_proofs: dict[Type, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}

@@ -492,16 +492,32 @@ def test_dropped_abstraction_typed_by_synthesis(ba, ctx, term, ty, arg_type):
         ("ehr", {"x": "a"}, r"(\z. x) ((\u. \v. w) z x)", "a"),
         # the argument's head contraction reaches such a term
         ("ehr", {"x": "a"}, r"(\z. x) ((\f. f x) (\v. w))", "a"),
+        # a variable spine that a step leaves with no head, every head
+        # refuted: no arrow head of y takes y, or of b (after y x) takes y
+        ("ba", {"y": "a -> a"}, r"(\z. y) (y y)", "a -> a"),
+        ("ehr", {"y": "a -> a"}, r"(\z. y) (y y)", "a -> a"),
+        ("ba", {"y": "a -> a"}, r"(\z. y) ((\u. u) (y y))", "a -> a"),
+        ("ehr", {"x": "a", "y": "a -> b"}, r"(\z. x) (y x y)", "a"),
     ],
 )
 def test_untypable_dropped_argument_is_no(all_theories, name, ctx, term, ty):
     # a variable the context does not bind occurs free where every
     # derivation types it, in the dropped argument or in the term its head
-    # contractions reach: without omega the argument has no type, and
-    # neither has the redex
+    # contractions reach, or that term is a variable spine with no type:
+    # without omega the argument has no type, and neither has the redex
     spec = all_theories[name]
     ctx = {x: P(t) for x, t in ctx.items()}
     assert derives(spec, ctx, T(term), P(ty))[0] is Verdict.NO
+
+
+def test_dropped_spine_with_an_unsettled_step_stays_open(ba):
+    # the search cannot settle whether y's argument, an Omega, has a, so
+    # the step keeps no head but refutes none: UNKNOWN, as _invert_spine
+    # answers
+    ctx = {"x": P("a"), "y": P("a -> b")}
+    omega = r"((\w. w w) (\w. w w))"
+    m = T(rf"(\z. x) (y {omega} y)")
+    assert derives(ba, ctx, m, P("a"), SearchBudget(max_depth=8))[0] is Verdict.UNKNOWN
 
 
 def test_dropped_abstraction_with_unbound_body_has_nu(ehr):
