@@ -245,17 +245,6 @@ def _spine(m: Term) -> tuple[Term, list[App]]:
     return m, apps
 
 
-def _head_normal(m: Term, depth: int) -> tuple[Term | None, int]:
-    """The term that m's head contractions end at, and the depth left, one
-    level less per contraction; None when no depth would be left."""
-    while depth > 0:
-        c = contract_head(m)
-        if c is None:
-            return m, depth
-        m, depth = c, depth - 1
-    return None, 0
-
-
 def _free_where_typed(spec: TheorySpec, ctx, n: Term) -> bool:
     """Whether, in a theory without omega, a variable that ctx does not
     bind occurs free in n at a place that every derivation of n types, so
@@ -280,16 +269,6 @@ def _free_where_typed(spec: TheorySpec, ctx, n: Term) -> bool:
         elif k or spec.nu is None:
             todo.append((m.body, bound | {m.binder}, max(k - 1, 0)))
     return False
-
-
-def _untypable(spec: TheorySpec, ctx, n: Term, depth: int) -> bool:
-    """Whether ``_free_where_typed`` finds that n has no type under ctx,
-    looking at n and, by subject reduction, at the term that n's head
-    contractions reach within depth."""
-    if _free_where_typed(spec, ctx, n):
-        return True
-    m, _ = _head_normal(n, depth)
-    return m is not None and _free_where_typed(spec, ctx, m)
 
 
 class _Untypable(Exception):
@@ -343,7 +322,10 @@ class _Search:
                 return Verdict.YES, _via_leq(ctx, m, _node("AxNu", ctx, m, nu), a)
             return self._derive_lam(ctx, m, a, depth)
         if kind is App:
-            return self._derive_app(ctx, m, a, depth)
+            head, apps = _spine(m)
+            if type(head) is Var:
+                return self._invert_spine(ctx, head, apps, a, depth)
+            return self._contract(ctx, apps, a, depth)
         raise TypeError(m)
 
     # -- abstraction: decompose the target's conjuncts
@@ -395,12 +377,6 @@ class _Search:
 
     # -- application: exact spine inversion for a variable head, contraction
     #    of the head redex for an abstraction head
-
-    def _derive_app(self, ctx, m, a, depth):
-        head, apps = _spine(m)
-        if type(head) is Var:
-            return self._invert_spine(ctx, head, apps, a, depth)
-        return self._contract(ctx, apps, a, depth)
 
     def _contract(self, ctx, apps, a, depth):
         """Decide (\\x. M) N P1 ... Pk : a through its head contractum
@@ -481,7 +457,9 @@ class _Search:
         binders apart from N's free variables.  When d types no copy, B is
         omega, the type of N as a bound variable, nu for an abstraction N,
         or else the type that ``_dropped_argument`` synthesizes for N and
-        proves at depth - 1; failing all of these, None."""
+        proves at depth - 1; failing all of these, None.  The first three
+        take no search, and depth - 1 can be 0: the verdict cache can
+        answer a contractum YES at depth 0."""
         lam, n = redex.fun, redex.arg
         x = lam.binder
         copies = {}  # T_i -> a derivation of that copy of N : T_i
@@ -519,9 +497,10 @@ class _Search:
         """A derivation of n : B, with B the type ``_synthesize`` gives n,
         searched once at depth; or None.  Without omega an argument that
         the contractum drops must still be typable, as in the lambda-I
-        calculus.  When ``_untypable`` or ``_synthesize`` finds that n has
-        no type, neither has the redex: raise _Untypable."""
-        if _untypable(self.spec, ctx, n, depth):
+        calculus.  When ``_free_where_typed`` finds that n has no type, or
+        ``_synthesize`` finds it of the term n reaches, neither has the
+        redex: raise _Untypable."""
+        if _free_where_typed(self.spec, ctx, n):
             raise _Untypable
         b = self._synthesize(ctx, n, depth, exact=True)
         if b is None:
@@ -531,19 +510,23 @@ class _Search:
 
     def _synthesize(self, ctx, n, depth, exact=False):
         """A type for n in a theory without omega, or None: the type of the
-        term that n's head contractions reach within depth.  A variable
-        spine gets the type that ``_invert_spine`` iterates.  An
-        abstraction \\y. M gets nu, or without nu B -> S, with B from
-        ``_binder_type`` and S synthesized for M under y : B.
+        term m that n's head contractions reach within depth.  A variable
+        spine gets its type from ``_spine_type``.  An abstraction \\y. M
+        gets nu, or without nu B -> S, with B from ``_binder_type`` and S
+        synthesized for M under y : B.
 
-        With ``exact``, a variable spine that n reaches itself, and that a
-        step leaves with no head after every earlier step was settled, has
-        no type, as ``_invert_spine`` answers NO: raise _Untypable.  Only n
-        itself: under a binder type that ``_binder_type`` chose, another
-        choice may type the spine."""
-        m, depth = _head_normal(n, depth)
-        if m is None:
+        With ``exact``, raise _Untypable when m, and so n (subject
+        reduction), has no type: when ``_free_where_typed`` finds so, or
+        when m is a variable spine that a step leaves with no head after
+        every step so far was settled.  Only m itself: under a binder type
+        that ``_binder_type`` chose, another choice may type the spine."""
+        m = n  # contracted at the head, one level of depth per step
+        while depth > 0 and (c := contract_head(m)) is not None:
+            m, depth = c, depth - 1
+        if depth <= 0:
             return None
+        if exact and _free_where_typed(self.spec, ctx, m):
+            raise _Untypable
         if type(m) is Lam:
             if self.spec.nu is not None:
                 return self.spec.nu
@@ -553,17 +536,9 @@ class _Search:
             s = self._synthesize(_context(ctx, m.binder, b), m.body, depth - 1)
             return None if s is None else Arrow(b, s)
         head, apps = _spine(m)
-        t = ctx.get(head.name)
-        settled = True
-        k = len(apps)
-        for i, app in enumerate(apps):
-            if t is None:
-                break
-            kept, all_settled = self._step(ctx, t, app.arg, depth - (k - i))
-            settled = settled and all_settled
-            if not kept and settled and exact:
-                raise _Untypable
-            t = inter_of([h.cod for h, _ in kept]) if kept else None
+        t, _, settled = self._spine_type(ctx, head, apps, depth)
+        if t is None and settled and exact:
+            raise _Untypable
         return t
 
     def _binder_type(self, ctx, lam, depth):
@@ -607,45 +582,44 @@ class _Search:
             todo += ((app.arg, bound) for app in apps)
         return canonical(spec, inter_of(asks))
 
-    def _step(self, ctx, t, arg, depth):
-        """One application of a spine whose function has type t: the arrow
-        heads of t whose domains arg has at depth, each with arg's
-        derivation, and whether every other head was refuted."""
-        kept, settled = [], True
-        for h in arrow_heads(self.spec, t):
-            v, da = self._derive(ctx, arg, h.dom, depth)
-            if v is Verdict.YES:
-                kept.append((h, da))
-            elif v is Verdict.UNKNOWN:
-                settled = False
-        return kept, settled
-
-    def _invert_spine(self, ctx, head, apps, a, depth):
-        """Decide x N1 ... Nk : a by iterated filter application.
+    def _spine_type(self, ctx, head, apps, depth):
+        """Iterated filter application along x N1 ... Nk: T_k, or None when
+        x is unbound or a step keeps no head; per application, the (head,
+        argument derivation) pairs kept; and whether every head dropped so
+        far was refuted.
 
         By the generation lemma and beta-soundness the types of x N1 ... Ni
         are the upward closure of T_i: T_0 is the type of x, and T_i meets
-        the codomains of the arrow heads of T_(i-1) whose domains Ni has.
-        With no such head, or with x unbound, x N1 ... Ni has only the types
-        above omega, and none without omega; ``_derive_uncached`` answers
-        every target above omega before it comes here, so the spine is
-        refuted.  Ni is searched at depth - (k - i + 1).  An argument the
-        search cannot settle only drops a head, which weakens T_i: YES
-        stays sound, NO becomes UNKNOWN."""
+        the codomains of the arrow heads of T_(i-1) whose domains Ni has,
+        searched at depth - (k - i + 1).  With no such head, or with x
+        unbound, x N1 ... Ni has only the types above omega, and none
+        without omega.  An argument the search cannot settle only drops a
+        head, which weakens T_i."""
         t = ctx.get(head.name)
-        if t is None:
-            return Verdict.NO, None
-        settled = True
-        steps = []  # per application, the (head, argument derivation) pairs kept
+        steps, settled = [], True
         k = len(apps)
         for i, app in enumerate(apps):
-            kept, all_settled = self._step(ctx, t, app.arg, depth - (k - i))
-            settled = settled and all_settled
-            if not kept:
-                return (Verdict.NO if settled else Verdict.UNKNOWN), None
-            t = inter_of([h.cod for h, _ in kept])
+            if t is None:
+                break
+            kept = []
+            for h in arrow_heads(self.spec, t):
+                v, d = self._derive(ctx, app.arg, h.dom, depth - (k - i))
+                if v is Verdict.YES:
+                    kept.append((h, d))
+                elif v is Verdict.UNKNOWN:
+                    settled = False
             steps.append(kept)
-        if not leq(self.spec, t, a):
+            t = inter_of([h.cod for h, _ in kept]) if kept else None
+        return t, steps, settled
+
+    def _invert_spine(self, ctx, head, apps, a, depth):
+        """Decide x N1 ... Nk : a: YES when ``_spine_type`` gives a T_k
+        below a.  ``_derive_uncached`` answers every target above omega
+        before it comes here, so with no T_k, or one not below a, the spine
+        is refuted; UNKNOWN instead when a step dropped a head it could not
+        refute, since that only weakened T_k."""
+        t, steps, settled = self._spine_type(ctx, head, apps, depth)
+        if t is None or not leq(self.spec, t, a):
             return (Verdict.NO if settled else Verdict.UNKNOWN), None
         return Verdict.YES, self._spine_derivation(ctx, head, apps, steps, a)
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .assign import Verdict
+# leq is unused here, but perfbench/tracing.py wraps itypes.classify.leq
 from .subtype import eq, leq
 from .syntax import Arrow, Atom, Type, conjuncts
-from .theory import BA_RULES, TheorySpec, validates_ba
+from .theory import TheorySpec, validates_ba
 
 
 def is_strict(spec: TheorySpec) -> bool:
@@ -59,27 +60,16 @@ def is_f_type_theory(spec: TheorySpec) -> Verdict:
     """Whether every type's functional behaviour is witnessed by arrows."""
     spec.require_valid()
     strict = is_strict(spec)
-    natural = is_natural(spec)
-    if not strict and not natural:
+    if not strict and not is_natural(spec):
         return Verdict.NO
-    if natural and spec.omega_eta:
-        # omega itself decomposes via omega ~ omega -> omega; every other
-        # atom needs an explicit arrow equation
-        ok = all(a in spec.equations for a in spec.plain_atoms)
-        return Verdict.YES if ok else Verdict.NO
-    if strict and spec.has_nu:
-        ok = all(
-            leq(spec, spec.nu, Atom(a)) or a in spec.equations
-            for a in spec.plain_atoms
-        )
-        return Verdict.YES if ok else Verdict.NO
-    if strict and spec.rules == BA_RULES and not spec.atom_equations:
-        # plain-atom theories over the base rules are known to qualify
-        return Verdict.YES
-    if natural and not spec.plain_atoms and not spec.atom_equations:
-        # the lazy theory over omega alone is known to qualify
-        return Verdict.YES
     if all(a in spec.equations for a in spec.plain_atoms):
+        return Verdict.YES
+    if spec.omega_eta or spec.has_nu:
+        # with omega-eta, omega decomposes via omega ~ omega -> omega; nu
+        # lies below no plain atom: each plain atom needs an arrow equation
+        return Verdict.NO
+    if strict and not spec.atom_equations:
+        # plain-atom theories over the base rules are known to qualify
         return Verdict.YES
     return Verdict.UNKNOWN
 

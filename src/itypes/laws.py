@@ -425,9 +425,7 @@ def _contract_one(rng: random.Random, m):
 def _head_unbound(spec: TheorySpec, ctx, m) -> bool:
     """Whether the search, allowed 16 head contractions, finds that the
     argument of m's head redex has no type under ctx, as it does for an
-    argument that the contraction drops: ``assign._untypable`` finds it, or
-    its head contractions reach a variable spine that a step leaves with
-    no type."""
+    argument that the contraction drops (``_Search._dropped_argument``)."""
     while type(m.fun) is not Lam:
         m = m.fun
     try:

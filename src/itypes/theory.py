@@ -12,7 +12,7 @@ import json
 import string
 from functools import cached_property
 
-from .errors import UnsupportedTheory
+from .errors import ItypesError, UnsupportedTheory
 from .syntax import (
     Arrow,
     Atom,
@@ -329,7 +329,33 @@ def spec_to_json(spec: TheorySpec) -> dict:
     }
 
 
+def _strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+# what each field of a JSON spec must be, and a test of it
+_JSON_FIELDS = {
+    "atoms": ("a list of strings", _strings),
+    "rules": ("a list of strings", _strings),
+    "omega": ("a boolean", lambda v: type(v) is bool),
+    "nu": ("a boolean", lambda v: type(v) is bool),
+    "equations": (
+        "an object from string to string",
+        lambda v: type(v) is dict and _strings([*v, *v.values()]),
+    ),
+    "name": ("a string or null", lambda v: v is None or type(v) is str),
+}
+
+
 def spec_from_json(data: dict) -> TheorySpec:
+    """The spec that ``spec_to_json`` wrote as data.  A field may be left
+    out; one that is given must have the shape ``_JSON_FIELDS`` states, or
+    ItypesError names it."""
+    if type(data) is not dict:
+        raise ItypesError("a theory spec must be a JSON object")
+    for key, (shape, ok) in _JSON_FIELDS.items():
+        if key in data and not ok(data[key]):
+            raise ItypesError(f"theory spec field {key!r} must be {shape}")
     atoms = set(data.get("atoms", []))
     if data.get("omega"):
         atoms.add(OMEGA)
@@ -338,7 +364,7 @@ def spec_from_json(data: dict) -> TheorySpec:
     rules = frozenset(Rule(r) for r in data.get("rules", []))
     probe = TheorySpec(frozenset(atoms), rules)
     equations = {
-        k: parse_type(v, probe) for k, v in (data.get("equations") or {}).items()
+        k: parse_type(v, probe) for k, v in data.get("equations", {}).items()
     }
     return make_spec(atoms, rules, equations, data.get("name"))
 

@@ -528,6 +528,45 @@ def test_dropped_abstraction_with_unbound_body_has_nu(ehr):
     assert d.premises[1].type == P("nu")
 
 
+@pytest.mark.parametrize(
+    "name, ctx, term, rule, arg_type",
+    [
+        # a dropped bound variable gets its context type by Ax
+        ("ba", {"x": "a", "y": "b"}, r"(\z. x) y", "Ax", "b"),
+        # a dropped abstraction gets nu by AxNu
+        ("ehr", {"x": "a"}, r"(\z. x) (\y. y)", "AxNu", "nu"),
+    ],
+)
+def test_dropped_argument_typed_by_an_axiom(all_theories, name, ctx, term, rule, arg_type):
+    # the contractum x needs one level below the redex, the argument none
+    spec = all_theories[name]
+    ctx = {x: P(t) for x, t in ctx.items()}
+    assert derives(spec, ctx, T(term), P("a"), SearchBudget(max_depth=1))[0] is Verdict.UNKNOWN
+    for budget in (SearchBudget(max_depth=2), SearchBudget()):
+        v, d = derives(spec, ctx, T(term), P("a"), budget)
+        assert v is Verdict.YES
+        assert check_derivation(spec, d)
+        assert (d.premises[1].rule, d.premises[1].type) == (rule, P(arg_type))
+
+
+@pytest.mark.parametrize(
+    "name, arg",
+    [("ba", "y"), ("ehr", r"(\u. u)")],
+)
+def test_dropped_argument_typed_with_no_depth_left(all_theories, name, arg):
+    # at depth 3 the spine g R is synthesized for the outer redex's
+    # dropped argument, and R = (\w. x) arg is searched at depth 1: its
+    # contractum x : a comes from the verdict cache at depth 0, so arg,
+    # which R drops, is typed with no depth left, by Ax or AxNu alone
+    spec = all_theories[name]
+    ctx = {"f": P("a -> b"), "g": P("a -> b"), "x": P("a"), "y": P("b")}
+    m = T(rf"(\z. f x) (g ((\w. x) {arg}))")
+    assert derives(spec, ctx, m, P("b"), SearchBudget(max_depth=2))[0] is Verdict.UNKNOWN
+    v, d = derives(spec, ctx, m, P("b"), SearchBudget(max_depth=3))
+    assert v is Verdict.YES
+    assert check_derivation(spec, d)
+
+
 def test_candidate_size_is_inert(ba, ehr):
     # verdicts and derivations do not depend on max_candidate_type_size
     import random

@@ -101,6 +101,26 @@ def test_ehr_with_fresh_atoms_fails_clause_two():
     assert is_f_type_theory(spec) is Verdict.NO
 
 
+@pytest.mark.parametrize(
+    "atoms, rules, equations, want",
+    [
+        # strict with nu: nu lies below no plain atom, so each needs an equation
+        ({"nu", "a", "b"}, {Rule.NU_TOP}, {"a": "b -> b", "b": "nu -> nu"}, Verdict.YES),
+        ({"nu", "a", "b"}, {Rule.NU_TOP}, {"a": "b -> b"}, Verdict.NO),
+        # an unequated plain atom is not decided beside an equation in a
+        # strict theory without nu, nor at all in a lazy one
+        ({"a", "b"}, set(), {"a": "b -> b"}, Verdict.UNKNOWN),
+        ({"omega", "a"}, {Rule.OMEGA_TOP, Rule.OMEGA_LAZY}, {}, Verdict.UNKNOWN),
+        # the lazy theory over omega alone
+        ({"omega"}, {Rule.OMEGA_TOP, Rule.OMEGA_LAZY}, {}, Verdict.YES),
+    ],
+)
+def test_f_type_of_spec_shapes(atoms, rules, equations, want):
+    eqs = {k: P(v) for k, v in equations.items()}
+    spec = make_spec(atoms, BA_RULES | rules, eqs)
+    assert is_f_type_theory(spec) is want
+
+
 def test_non_adequate_spec_is_not_f_type():
     spec = make_spec({"a"}, frozenset({Rule.ARROW_INTER}))
     assert is_f_type_theory(spec) is Verdict.NO

@@ -383,6 +383,14 @@ def test_classify_long_equation_chain(tmp_path, capsys):
     assert "strict: True" in out
 
 
+def test_malformed_theory_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"atoms": "ab", "rules": ["arrow-inter", "eta"]}')
+    code, out, err = run(capsys, "classify", "--theory", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == "error: theory spec field 'atoms' must be a list of strings\n"
+
+
 def test_missing_theory_file_exit_two(capsys):
     code, _, err = run(capsys, "leq", "--theory", "file:/nope.json", "a", "a")
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from itypes.assign import Verdict, check_derivation, derives
 from itypes.classify import adequacy_report
+from itypes.errors import ItypesError
 from itypes.syntax import NU, OMEGA, Arrow, Atom, parse_term, parse_type
 from itypes.theory import (
     BA_RULES,
@@ -173,6 +174,33 @@ def test_json_of_named_theories(all_theories):
         '{"name": "bcd", "atoms": ["a", "b"], "omega": true, "nu": false, '
         '"rules": ["arrow-inter", "eta", "omega-eta", "omega-top"], "equations": {}}',
     ]
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"atoms": "ab", "rules": ["arrow-inter", "eta"]}, "'atoms'"),
+        ({"atoms": ["a", 1], "rules": ["arrow-inter", "eta"]}, "'atoms'"),
+        ({"atoms": ["a"], "rules": "eta"}, "'rules'"),
+        ({"atoms": ["a"], "rules": ["arrow-inter", "eta"], "omega": "no"}, "'omega'"),
+        ({"atoms": ["a"], "rules": ["arrow-inter", "eta"], "nu": 1}, "'nu'"),
+        ({"atoms": ["a"], "rules": ["arrow-inter", "eta"], "equations": []}, "'equations'"),
+        ({"atoms": ["a"], "rules": ["arrow-inter", "eta"], "equations": {"a": 1}},
+         "'equations'"),
+        ({"atoms": ["a"], "rules": ["arrow-inter", "eta"], "name": 3}, "'name'"),
+        (["a", "b"], "a JSON object"),
+        ("ba", "a JSON object"),
+    ],
+)
+def test_json_of_the_wrong_shape_is_refused(data, field):
+    with pytest.raises(ItypesError, match=field):
+        spec_from_json(data)
+
+
+def test_json_fields_may_be_left_out():
+    assert spec_from_json({}) == make_spec(set(), frozenset())
+    data = {"atoms": ["a"], "rules": ["arrow-inter", "eta"], "name": None}
+    assert spec_from_json(data) == make_spec({"a"}, BA_RULES)
 
 
 def test_json_roundtrip_with_equations():
