@@ -317,9 +317,6 @@ class _Search:
                 return Verdict.YES, _via_leq(ctx, m, _node("Ax", ctx, m, t), a)
             return Verdict.NO, None
         if kind is Lam:
-            nu = spec.nu
-            if nu is not None and leq(spec, nu, a):
-                return Verdict.YES, _via_leq(ctx, m, _node("AxNu", ctx, m, nu), a)
             return self._derive_lam(ctx, m, a, depth)
         if kind is App:
             head, apps = _spine(m)

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .assign import Verdict
 # leq is unused here, but perfbench/tracing.py wraps itypes.classify.leq
-from .subtype import eq, leq
+from .subtype import leq
 from .syntax import Arrow, Atom, Type, conjuncts
 from .theory import TheorySpec, validates_ba
 
@@ -48,10 +48,11 @@ def _fun_conjunct(spec: TheorySpec, a: Type) -> bool:
         case Arrow():
             return True
         case Atom(name):
+            # in a valid spec no other atom is equivalent to nu or omega
             return (
-                (spec.has_nu and eq(spec, a, spec.nu))
+                a is spec.nu
                 or name in spec.equations
-                or (spec.omega_eta and eq(spec, a, spec.omega))
+                or (spec.omega_eta and a is spec.omega)
             )
     raise TypeError(a)
 

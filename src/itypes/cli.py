@@ -17,6 +17,7 @@ from .assign import (
     Verdict,
     derivation_to_json,
     derives,
+    infer_types,
 )
 from .classify import adequacy_report
 from .errors import ItypesError, ResourceLimit
@@ -127,8 +128,6 @@ def _cmd_check(args, spec, budget) -> int:
 
 
 def _cmd_infer(args, spec, budget) -> int:
-    from .assign import infer_types
-
     ctx = _parse_bindings(spec, args.ctx, ":", "context")
     m = parse_term(args.term)
     found = sorted(

@@ -294,6 +294,9 @@ def fun_phi_law(spec: TheorySpec, atoms, size: int) -> LawResult:
     return res
 
 
+_BUDGET = SearchBudget(max_depth=16)  # of the search laws and random_judgments
+
+
 def _random_term(rng: random.Random, depth: int):
     names = ("x", "y", "z")
     if depth == 0:
@@ -307,9 +310,9 @@ def _random_term(rng: random.Random, depth: int):
             return App(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
 
 
-def _judgments(spec: TheorySpec, atoms, seed: int, count: int, budget):
-    """Seeded random judgments with the search's answers, drawn until count
-    of them are Yes or count * 60 have been drawn."""
+def _judgments(spec: TheorySpec, atoms, seed: int, count: int):
+    """Seeded random judgments with the search's answers at ``_BUDGET``,
+    drawn until count of them are Yes or count * 60 have been drawn."""
     rng = random.Random(seed)
     pool = canonical_types(spec, spec.universe_atoms(atoms), 4)
     yes = 0
@@ -319,30 +322,26 @@ def _judgments(spec: TheorySpec, atoms, seed: int, count: int, budget):
         m = _random_term(rng, rng.randrange(1, 4))
         ctx = {v: rng.choice(pool) for v in ("x", "y", "z") if rng.random() < 0.7}
         a = rng.choice(pool)
-        v, d = derives(spec, ctx, m, a, budget)
+        v, d = derives(spec, ctx, m, a, _BUDGET)
         yes += v is Verdict.YES
         yield ctx, m, a, v, d
 
 
-def random_judgments(spec: TheorySpec, atoms, seed: int, count: int, budget=None):
+def random_judgments(spec: TheorySpec, atoms, seed: int, count: int):
     """Seeded stream of Yes-judgments found by the search; used as corpora."""
-    budget = budget or SearchBudget(max_depth=16)
     return [
         (ctx, m, a, d)
-        for ctx, m, a, v, d in _judgments(spec, atoms, seed, count, budget)
+        for ctx, m, a, v, d in _judgments(spec, atoms, seed, count)
         if v is Verdict.YES
     ]
 
 
-def search_soundness_law(
-    spec: TheorySpec, atoms, size: int, seed: int, samples: int = 25
-) -> LawResult:
-    """Every Yes from the search comes with a derivation the checker accepts,
-    and Yes and No both survive a budget increase."""
+def search_soundness_law(spec: TheorySpec, atoms, seed: int) -> LawResult:
+    """Every Yes from the search on seeded judgments, up to 25, comes with a
+    derivation the checker accepts, and Yes and No both survive depth 32."""
     res = LawResult("search-soundness")
-    small = SearchBudget(max_depth=16)
     big = SearchBudget(max_depth=32)
-    for ctx, m, a, v, d in _judgments(spec, atoms, seed, samples, small):
+    for ctx, m, a, v, d in _judgments(spec, atoms, seed, 25):
         if v is Verdict.UNKNOWN:
             continue
         res.checked += 1
@@ -355,20 +354,18 @@ def search_soundness_law(
     return res
 
 
-def spine_filter_law(
-    spec: TheorySpec, atoms, size: int, seed: int, samples: int = 200
-) -> LawResult:
+def spine_filter_law(spec: TheorySpec, atoms, seed: int) -> LawResult:
     """The search decides every spine x y1 ... yk of variables exactly, as
     iterated filter application: ctx |- x y1 ... yk : a holds iff a belongs
     to up(ctx[x]) . up(ctx[y1]) ... up(ctx[yk]), an unbound variable
     standing for the filter of the empty set.  Every Yes derivation checks.
-    Context types are meets of two canonical types of size at most 4."""
+    200 seeded spines; context types are meets of two canonical types of
+    size at most 4."""
     res = LawResult("spine-filter")
     rng = random.Random(seed)
     pool = canonical_types(spec, spec.universe_atoms(atoms), 4)
-    budget = SearchBudget(max_depth=16)
     names = ("x", "y", "z")
-    for _ in range(samples):
+    for _ in range(200):
         # a meet of two pool types can have two arrow heads
         ctx = {
             v: canonical(spec, Inter(rng.choice(pool), rng.choice(pool)))
@@ -384,7 +381,7 @@ def spine_filter_law(
             f = apply(spec, f, g)
             m = App(m, Var(y))
         res.checked += 1
-        v, d = derives(spec, ctx, m, a, budget)
+        v, d = derives(spec, ctx, m, a, _BUDGET)
         want = Verdict.YES if member(spec, f, a) else Verdict.NO
         if v is not want:
             res.failures.append((str(m), print_type(a), v.value, want.value))
@@ -436,10 +433,8 @@ def _head_unbound(spec: TheorySpec, ctx, m) -> bool:
     return False
 
 
-def subject_reduction_law(
-    spec: TheorySpec, atoms, size: int, seed: int, samples: int = 60
-) -> LawResult:
-    """Beta-reduction keeps typings.  For seeded judgments whose subject
+def subject_reduction_law(spec: TheorySpec, atoms, seed: int) -> LawResult:
+    """Beta-reduction keeps typings.  For 60 seeded judgments whose subject
     (\\v. M) N P1 ... Pk has a head redex, one redex R of it, chosen at
     random, is contracted to C.  Subject reduction (every theory the search
     accepts) forbids R YES with C NO.  Subject expansion forbids C YES with
@@ -453,8 +448,7 @@ def subject_reduction_law(
     res = LawResult("subject-reduction")
     rng = random.Random(seed)
     pool = canonical_types(spec, spec.universe_atoms(atoms), 4)
-    budget = SearchBudget(max_depth=16)
-    for _ in range(samples):
+    for _ in range(60):
         m = App(
             Lam(rng.choice("xyz"), _random_term(rng, rng.randrange(3))),
             _random_term(rng, rng.randrange(3)),
@@ -465,8 +459,8 @@ def subject_reduction_law(
         a = rng.choice(pool)
         c, at_head = _contract_one(rng, m)
         res.checked += 1
-        vm, dm = derives(spec, ctx, m, a, budget)
-        vc, dc = derives(spec, ctx, c, a, budget)
+        vm, dm = derives(spec, ctx, m, a, _BUDGET)
+        vc, dc = derives(spec, ctx, c, a, _BUDGET)
         for v, d in ((vm, dm), (vc, dc)):
             if v is Verdict.YES and not check_derivation(spec, d):
                 res.failures.append((str(m), str(c), print_type(a), "bad-derivation"))
@@ -594,9 +588,9 @@ def run_all(spec: TheorySpec, atoms, size: int, seed: int) -> list[LawResult]:
     results.append(normal_form_laws(spec, atoms, size))
     results += filter_laws(spec, atoms, size)
     results.append(fun_phi_law(spec, atoms, size))
-    results.append(search_soundness_law(spec, atoms, size, seed))
-    results.append(spine_filter_law(spec, atoms, size, seed))
-    results.append(subject_reduction_law(spec, atoms, size, seed))
+    results.append(search_soundness_law(spec, atoms, seed))
+    results.append(spine_filter_law(spec, atoms, seed))
+    results.append(subject_reduction_law(spec, atoms, seed))
     corpus = random_judgments(spec, atoms, seed, 25)
     results.append(admissible_rule_suite(spec, [(c, m, a) for c, m, a, _ in corpus]))
     return results

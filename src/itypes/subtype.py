@@ -30,6 +30,7 @@ from .syntax import (
     conjuncts,
     inter_of,
     print_type,
+    type_atoms,
 )
 from .theory import TABLE_CAP, Rule, TheorySpec
 
@@ -350,9 +351,8 @@ def _build(spec: TheorySpec, a: Type, b: Type, memo: dict) -> Proof:
 
 def _build_uncached(spec, a, b, memo):
     if isinstance(b, Inter):
-        pl = _build(spec, a, b.left, memo)
-        pr = _build(spec, a, b.right, memo)
-        return _trans(Proof("idem", a, Inter(a, a)), _mon(pl, pr))
+        pl, pr = _build(spec, a, b.left, memo), _build(spec, a, b.right, memo)
+        return _leq_parts(a, [pl, pr])
 
     if isinstance(b, Atom):
         if b is spec.omega:
@@ -423,12 +423,11 @@ def normalize(spec: TheorySpec, t: Type) -> tuple[Type, ...]:
     table = spec.tables.canon
     parts = table.get(t)
     if parts is None:
-        seen = []
-        for leaf in conjuncts(t):
-            if isinstance(leaf, Arrow):
-                leaf = Arrow(canonical(spec, leaf.dom), canonical(spec, leaf.cod))
-            if leaf not in seen:
-                seen.append(leaf)
+        # a dict keeps first occurrences in order
+        seen = dict.fromkeys(
+            Arrow(canonical(spec, c.dom), canonical(spec, c.cod)) if isinstance(c, Arrow) else c
+            for c in conjuncts(t)
+        )
         omega = spec.omega
         if omega is not None and len(seen) > 1:
             seen = [c for c in seen if c is not omega]
@@ -469,19 +468,12 @@ def enumerate_types(atom_names, max_size: int) -> list[Type]:
 
 def canonical_types(spec: TheorySpec, atom_names, max_size: int) -> tuple[Type, ...]:
     """Canonical representatives (one per normal form) of the enumerated
-    types, in enumeration order.  Memoised in the theory's tables."""
-    table = spec.tables.pools
-    key = (frozenset(atom_names), max_size)
-    pool = table.get(key)
-    if pool is None:
-        # a dict keeps first occurrences in order
-        pool = tuple(dict.fromkeys(
-            canonical(spec, t) for t in enumerate_types(key[0], max_size)
-        ))
-        if len(table) >= TABLE_CAP:
-            table.clear()
-        table[key] = pool
-    return pool
+    types, in enumeration order.  Kept by ``TheorySpec.relation``."""
+    atoms = frozenset(atom_names)
+    # a dict keeps first occurrences in order
+    return spec.relation(("pool", atoms, max_size), lambda: tuple(dict.fromkeys(
+        canonical(spec, t) for t in enumerate_types(atoms, max_size)
+    )))
 
 
 # ---------------------------------------------------------------- oracle
@@ -493,12 +485,6 @@ class OracleResult(enum.Enum):
 
 
 DEFAULT_UNIVERSE_CAP = 20000
-
-
-def _closure(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
-    """The saturated relation over the universe, kept with the theory."""
-    key = ("oracle", atoms, bound, cap)
-    return spec.relation(key, lambda: _saturate(spec, atoms, bound, cap))
 
 
 def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
@@ -598,10 +584,14 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
 
 
 def oracle_relation(spec: TheorySpec, atoms, bound: int, cap: int = DEFAULT_UNIVERSE_CAP):
-    """The saturated subtype relation over the finite universe, for bulk tests.
+    """The saturated subtype relation over the types of size at most bound
+    over atoms and the theory's constants, for bulk tests; kept with the
+    theory (``TheorySpec.relation``) without validating it.
 
     Returns (index map type->i, successor bitmasks)."""
-    return _closure(spec, spec.universe_atoms(atoms), bound, cap)
+    atoms = spec.universe_atoms(atoms)
+    key = ("oracle", atoms, bound, cap)
+    return spec.relation(key, lambda: _saturate(spec, atoms, bound, cap))
 
 
 def leq_oracle(
@@ -613,10 +603,7 @@ def leq_oracle(
 ) -> OracleResult:
     """Semi-decision by saturation: YES is sound; NOT_FOUND only means no
     derivation fits inside the universe."""
-    from .syntax import type_atoms
-
-    atoms = spec.universe_atoms(type_atoms(a) | type_atoms(b))
-    index, succ = _closure(spec, atoms, universe_bound, cap)
+    index, succ = oracle_relation(spec, type_atoms(a) | type_atoms(b), universe_bound, cap)
     if a not in index or b not in index:
         return OracleResult.NOT_FOUND
     if (succ[index[a]] >> index[b]) & 1:

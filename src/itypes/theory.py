@@ -49,8 +49,8 @@ class NamedTheory(enum.Enum):
 # bounds the memory a long-running process spends on one theory.
 TABLE_CAP = 1 << 18
 
-# Whole relations over a finite universe kept per theory (oracle closures,
-# leq matrices).  One can hold megabytes, so past this many the oldest goes.
+# Whole-universe values kept per theory (oracle closures, leq matrices, type
+# pools).  One can hold megabytes, so past this many the oldest goes.
 RELATION_CAP = 8
 
 
@@ -62,15 +62,13 @@ class TheoryTables:
     decision of ``a <= b``, and ``leq_size`` counts the decisions over all
     rows, which ``TABLE_CAP`` bounds; ``heads`` maps a type to its arrow
     heads, and ``head_proofs`` to those heads with their proofs; ``canon``
-    maps a type to its canonical conjuncts; ``pools`` maps
-    ``(frozenset(atoms), max_size)`` to the canonical types of that
-    universe; ``in_theory`` holds the types whose atoms the search has
-    found in the theory.  Types are hash-consed, so the tables key on node
-    identity.
+    maps a type to its canonical conjuncts; ``in_theory`` holds the types
+    whose atoms the search has found in the theory.  Types are hash-consed,
+    so the tables key on node identity.  Values over a whole universe, as
+    the canonical types of one, are kept by ``TheorySpec.relation``.
     """
 
-    __slots__ = ("leq", "leq_size", "heads", "head_proofs", "canon", "pools",
-                 "in_theory")
+    __slots__ = ("leq", "leq_size", "heads", "head_proofs", "canon", "in_theory")
 
     def __init__(self):
         self.leq: dict[Type, dict[Type, bool]] = {}
@@ -78,7 +76,6 @@ class TheoryTables:
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
         self.head_proofs: dict[Type, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}
-        self.pools: dict[tuple[frozenset[str], int], tuple[Type, ...]] = {}
         self.in_theory: set[Type] = set()
 
 
@@ -349,10 +346,13 @@ _JSON_FIELDS = {
 
 def spec_from_json(data: dict) -> TheorySpec:
     """The spec that ``spec_to_json`` wrote as data.  A field may be left
-    out; one that is given must have the shape ``_JSON_FIELDS`` states, or
-    ItypesError names it."""
+    out; one that is given must be one of ``_JSON_FIELDS``, with the shape
+    it states and only known rules, or ItypesError names it."""
     if type(data) is not dict:
         raise ItypesError("a theory spec must be a JSON object")
+    for key in data:
+        if key not in _JSON_FIELDS:
+            raise ItypesError(f"theory spec has an unknown field {key!r}")
     for key, (shape, ok) in _JSON_FIELDS.items():
         if key in data and not ok(data[key]):
             raise ItypesError(f"theory spec field {key!r} must be {shape}")
@@ -361,8 +361,15 @@ def spec_from_json(data: dict) -> TheorySpec:
         atoms.add(OMEGA)
     if data.get("nu"):
         atoms.add(NU)
-    rules = frozenset(Rule(r) for r in data.get("rules", []))
-    probe = TheorySpec(frozenset(atoms), rules)
+    rules = set()
+    for r in data.get("rules", []):
+        try:
+            rules.add(Rule(r))
+        except ValueError:
+            raise ItypesError(
+                f"theory spec field 'rules' names an unknown rule {r!r}"
+            ) from None
+    probe = TheorySpec(frozenset(atoms), frozenset(rules))
     equations = {
         k: parse_type(v, probe) for k, v in data.get("equations", {}).items()
     }

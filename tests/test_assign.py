@@ -399,19 +399,19 @@ def test_variable_spine_through_equated_atom():
 
 @pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
 def test_spine_filter_law(all_theories, name):
-    res = spine_filter_law(all_theories[name], {"a", "b"}, 4, seed=3)
+    res = spine_filter_law(all_theories[name], {"a", "b"}, seed=3)
     assert res.ok, res.failures
     assert res.checked == 200
 
 
 def test_spine_filter_law_with_equation():
     spec = make_spec({"a", "b", "c"}, BA_RULES, {"c": P("a -> b -> a")})
-    res = spine_filter_law(spec, {"a", "b", "c"}, 4, seed=5)
+    res = spine_filter_law(spec, {"a", "b", "c"}, seed=5)
     assert res.ok, res.failures
 
 
 def test_search_soundness_law_checks_no_verdicts(ba):
-    res = search_soundness_law(ba, {"a", "b"}, 4, seed=0)
+    res = search_soundness_law(ba, {"a", "b"}, seed=0)
     assert res.ok, res.failures
     # the Yes corpus plus every No met while drawing it
     assert res.checked > len(random_judgments(ba, {"a", "b"}, seed=0, count=25))
@@ -591,7 +591,7 @@ def test_non_normalising_redex_stays_unknown(all_theories, name, term):
 
 @pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
 def test_subject_reduction_law(all_theories, name):
-    res = subject_reduction_law(all_theories[name], {"a", "b"}, 4, seed=2)
+    res = subject_reduction_law(all_theories[name], {"a", "b"}, seed=2)
     assert res.ok, res.failures
     assert res.checked == 60
 
@@ -604,7 +604,7 @@ def test_subject_reduction_law(all_theories, name):
     ],
 )
 def test_subject_reduction_law_with_equation(spec):
-    res = subject_reduction_law(spec, {"a", "b"}, 4, seed=6)
+    res = subject_reduction_law(spec, {"a", "b"}, seed=6)
     assert res.ok, res.failures
 
 

@@ -391,6 +391,22 @@ def test_malformed_theory_file_exit_two(tmp_path, capsys):
     assert err == "error: theory spec field 'atoms' must be a list of strings\n"
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ('{"atoms": ["a", "b"], "rules": ["arrow-inter", "eta"], '
+         '"equation": {"a": "b -> b"}}',
+         "error: theory spec has an unknown field 'equation'\n"),
+        ('{"atoms": ["a"], "rules": ["arrow-inter", "eta", "omega_top"]}',
+         "error: theory spec field 'rules' names an unknown rule 'omega_top'\n"),
+    ],
+)
+def test_misspelt_theory_file_exit_two(tmp_path, capsys, text, err):
+    path = tmp_path / "typo.json"
+    path.write_text(text)
+    assert run(capsys, "classify", "--theory", f"file:{path}") == (2, "", err)
+
+
 def test_missing_theory_file_exit_two(capsys):
     code, _, err = run(capsys, "leq", "--theory", "file:/nope.json", "a", "a")
     assert code == 2

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from itypes import subtype
+from itypes import subtype, theory
 from itypes.errors import ResourceLimit, UnsupportedTheory
 from itypes.laws import _universe, preorder_laws
 from itypes.subtype import (
@@ -138,8 +138,24 @@ def test_memo_tables_are_cleared_at_cap(monkeypatch):
     assert answers(capped) == want
     tables = capped.tables
     assert 0 < sum(len(row) for row in tables.leq.values()) <= 8
-    for table in (tables.heads, tables.head_proofs, tables.canon, tables.pools):
+    for table in (tables.heads, tables.head_proofs, tables.canon):
         assert 0 < len(table) <= 8
+
+
+def test_relations_keep_at_most_the_cap(monkeypatch):
+    # canonical pools are kept with the theory's other whole-universe values;
+    # past RELATION_CAP the oldest goes, and a dropped pool is made again
+    monkeypatch.setattr(theory, "RELATION_CAP", 2)
+    spec = named_theory(NamedTheory.BCD, 1)
+    atoms = spec.universe_atoms({"a"})
+    pools = {size: canonical_types(spec, atoms, size) for size in (1, 3, 4)}
+    assert list(spec._relations) == [("pool", atoms, 3), ("pool", atoms, 4)]
+    assert canonical_types(spec, atoms, 4) is pools[4]
+    again = canonical_types(spec, atoms, 1)
+    assert again == pools[1] and again is not pools[1]
+    assert list(spec._relations) == [("pool", atoms, 4), ("pool", atoms, 1)]
+    leq_oracle(spec, Atom("a"), Atom("omega"), 3)
+    assert len(spec._relations) == 2 and ("pool", atoms, 1) in spec._relations
 
 
 def test_memo_bytes_per_entry():

@@ -197,6 +197,24 @@ def test_json_of_the_wrong_shape_is_refused(data, field):
         spec_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"atoms": ["a", "b"], "rules": ["arrow-inter", "eta"],
+          "equation": {"a": "b -> b"}},
+         "theory spec has an unknown field 'equation'"),
+        ({"atoms": ["a"], "rules": ["arrow-inter", "eta"], "omega_top": True},
+         "theory spec has an unknown field 'omega_top'"),
+        ({"atoms": ["a"], "rules": ["arrow-inter", "eta", "omega_top"]},
+         "theory spec field 'rules' names an unknown rule 'omega_top'"),
+    ],
+)
+def test_json_unknown_field_or_rule_is_refused(data, message):
+    with pytest.raises(ItypesError) as info:
+        spec_from_json(data)
+    assert str(info.value) == message
+
+
 def test_json_fields_may_be_left_out():
     assert spec_from_json({}) == make_spec(set(), frozenset())
     data = {"atoms": ["a"], "rules": ["arrow-inter", "eta"], "name": None}
