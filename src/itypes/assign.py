@@ -38,7 +38,15 @@ from .syntax import (
     print_type,
     type_atoms,
 )
-from .subtype import arrow_heads, canonical, canonical_types, leq, normalize
+from .subtype import (
+    arrow_heads,
+    canonical,
+    canonical_types,
+    check_proof,
+    leq,
+    leq_trace,
+    normalize,
+)
 from .theory import TABLE_CAP, TheorySpec
 
 Basis = dict[str, Type]
@@ -54,9 +62,9 @@ class SearchBudget(namedtuple("SearchBudget", "max_candidate_type_size max_depth
     """Bounds of one search.
 
     ``max_depth`` bounds the nesting of search steps: each abstraction
-    body, application argument and head contraction takes one level.  A
-    search that nests deeper than the interpreter's recursion limit allows
-    ends UNKNOWN, as one that reaches ``max_depth`` does.
+    body, application argument and head contraction takes one level, and
+    a verdict depends only on (context, term, type, depth left).  A search
+    that outruns the interpreter's stack ends UNKNOWN, as at ``max_depth``.
 
     ``max_candidate_type_size`` is inert: no step of ``derives`` or
     ``infer_types`` reads it.  It once bounded a pool of candidate types
@@ -117,7 +125,9 @@ def _node(rule, ctx: _Context, term, type_, premises=()):
 
 
 def check_derivation(spec: TheorySpec, d: Derivation) -> bool:
-    """True iff every node instantiates its rule schema exactly."""
+    """True iff every node instantiates its rule schema exactly.  The
+    subtype step of a ``Leq`` node must have a proof trace that
+    ``check_proof`` accepts: the decider ``leq`` alone passes no step."""
     return derivation_error(spec, d) is None
 
 
@@ -179,7 +189,8 @@ def derivation_error(spec: TheorySpec, d: Derivation):
                     len(d.premises) == 1
                     and d.premises[0].ctx == d.ctx
                     and d.premises[0].term == d.term
-                    and leq(spec, d.premises[0].type, d.type)
+                    and (p := leq_trace(spec, d.premises[0].type, d.type)) is not None
+                    and check_proof(spec, p)
                 )
             case _:
                 ok = False
@@ -276,13 +287,13 @@ class _Untypable(Exception):
 
 
 class _Search:
+    """Each verdict depends only on (context, term, type, depth left)."""
+
     def __init__(self, spec: TheorySpec, budget: SearchBudget):
         spec.tables  # an invalid spec raises here, before any search
         self.spec = spec
         self.budget = budget
-        # verdict cache: YES/NO are depth-independent, UNKNOWN remembers the
-        # largest depth that failed to settle the query
-        self.cache: dict = {}
+        self.cache: dict = {}  # (ctx.key, term, type, depth) -> (verdict, d)
 
     def run(self, ctx: Basis, m: Term, a: Type) -> tuple[Verdict, Derivation | None]:
         try:
@@ -293,18 +304,13 @@ class _Search:
             return Verdict.UNKNOWN, None
 
     def _derive(self, ctx, m, a, depth):
-        # terms and types are hash-consed, so the key hashes by node identity
-        key = (ctx.key, m, a)
-        hit = self.cache.get(key)
-        if hit is not None:
-            verdict, d, at_depth = hit
-            if verdict is not Verdict.UNKNOWN or at_depth >= depth:
-                return verdict, d
         if depth <= 0:
             return Verdict.UNKNOWN, None
-        verdict, d = self._derive_uncached(ctx, m, a, depth)
-        self.cache[key] = (verdict, d, depth)
-        return verdict, d
+        key = (ctx.key, m, a, depth)  # hash-consed nodes: hashed by identity
+        hit = self.cache.get(key)
+        if hit is None:
+            hit = self.cache[key] = self._derive_uncached(ctx, m, a, depth)
+        return hit
 
     def _derive_uncached(self, ctx, m, a, depth):
         spec, omega = self.spec, self.spec.omega
@@ -452,11 +458,10 @@ class _Search:
         ``Leq(B <= T_i)``, and N : B is the InterI of the copies'
         derivations, rebuilt under ctx: the substitution renamed M's
         binders apart from N's free variables.  When d types no copy, B is
-        omega, the type of N as a bound variable, nu for an abstraction N,
-        or else the type that ``_dropped_argument`` synthesizes for N and
-        proves at depth - 1; failing all of these, None.  The first three
-        take no search, and depth - 1 can be 0: the verdict cache can
-        answer a contractum YES at depth 0."""
+        omega, or else the type that ``_dropped_argument`` synthesizes for
+        N and proves at depth - 1; failing both, None.  A verdict depends
+        only on (context, term, type, depth left), and the contractum's YES
+        was found at depth - 1, so that depth is at least 1."""
         lam, n = redex.fun, redex.arg
         x = lam.binder
         copies = {}  # T_i -> a derivation of that copy of N : T_i
@@ -477,10 +482,6 @@ class _Search:
             dn = self._inter_intro(ctx, n, parts)
         elif self.spec.omega is not None:
             dn = _node("AxOmega", ctx, n, self.spec.omega)
-        elif type(n) is Var and n.name in ctx:
-            dn = _node("Ax", ctx, n, ctx[n.name])
-        elif type(n) is Lam and self.spec.nu is not None:
-            dn = _node("AxNu", ctx, n, self.spec.nu)
         else:
             dn = self._dropped_argument(ctx, n, depth - 1)
             if dn is None:

@@ -347,7 +347,8 @@ _JSON_FIELDS = {
 def spec_from_json(data: dict) -> TheorySpec:
     """The spec that ``spec_to_json`` wrote as data.  A field may be left
     out; one that is given must be one of ``_JSON_FIELDS``, with the shape
-    it states and only known rules, or ItypesError names it."""
+    it states and only known rules, or ItypesError names it.  ``omega``
+    and ``nu`` are given only by their boolean fields, never in ``atoms``."""
     if type(data) is not dict:
         raise ItypesError("a theory spec must be a JSON object")
     for key in data:
@@ -357,6 +358,12 @@ def spec_from_json(data: dict) -> TheorySpec:
         if key in data and not ok(data[key]):
             raise ItypesError(f"theory spec field {key!r} must be {shape}")
     atoms = set(data.get("atoms", []))
+    special = sorted(atoms & {OMEGA, NU})
+    if special:
+        raise ItypesError(
+            f"theory spec field 'atoms' lists {special[0]!r}, "
+            f"which only the field {special[0]!r} may give"
+        )
     if data.get("omega"):
         atoms.add(OMEGA)
     if data.get("nu"):

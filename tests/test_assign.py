@@ -101,6 +101,18 @@ def test_leq_node_verified_against_theory(ba):
     assert not check_derivation(ba, bad)
 
 
+def test_leq_node_checked_without_trusting_the_decider(ba, monkeypatch):
+    # a decider that accepts every pair passes no Leq step: the step needs
+    # a proof trace that check_proof accepts
+    import itypes.assign
+
+    monkeypatch.setattr(itypes.assign, "leq", lambda spec, a, b: True)
+    ax = make_derivation("Ax", {"x": P("a")}, T("x"), P("a"))
+    bad = make_derivation("Leq", {"x": P("a")}, T("x"), P("b"), (ax,))
+    assert not check_derivation(ba, bad)
+    assert derivation_error(ba, bad) == ()
+
+
 # ---------------------------------------------------------------- golden typings
 
 
@@ -323,6 +335,36 @@ def test_context_order_shares_a_cache_entry(ba):
     assert len(search.cache) == entries
     assert d2 == d
     assert check_derivation(ba, d2)
+
+
+@pytest.mark.parametrize(
+    "y, form",
+    [
+        # each y step keeps two arrow heads, so each argument is asked twice
+        ("(a -> a) & (b -> b)", "y ({})"),
+        # each dropped argument y R is synthesized, then searched
+        ("a -> a", r"(\z. x) (y ({}))"),
+    ],
+)
+def test_memo_keeps_nested_searches_linear(ba, monkeypatch, y, form):
+    # a subsearch met twice at one depth is searched once: without the
+    # memo either term takes about 2^k searches
+    k = 12
+    m = "x"
+    for _ in range(k):
+        m = form.format(m)
+    calls = []
+    uncached = _Search._derive_uncached
+
+    def counted(self, *args):
+        calls.append(args)
+        return uncached(self, *args)
+
+    monkeypatch.setattr(_Search, "_derive_uncached", counted)
+    v, d = derives(ba, {"x": P("a"), "y": P(y)}, T(m), P("a"))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+    assert len(calls) <= 4 * k + 4
 
 
 def test_many_conjuncts_introduced_on_a_loop(ba):
@@ -554,17 +596,22 @@ def test_dropped_argument_typed_by_an_axiom(all_theories, name, ctx, term, rule,
     [("ba", "y"), ("ehr", r"(\u. u)")],
 )
 def test_dropped_argument_typed_with_no_depth_left(all_theories, name, arg):
-    # at depth 3 the spine g R is synthesized for the outer redex's
-    # dropped argument, and R = (\w. x) arg is searched at depth 1: its
-    # contractum x : a comes from the verdict cache at depth 0, so arg,
-    # which R drops, is typed with no depth left, by Ax or AxNu alone
+    # the spine g R is synthesized for the outer redex's dropped argument
+    # and searched one level down, and R = (\w. x) arg one level further:
+    # R alone needs depth 2, one level for its contractum x and one for
+    # arg, which R drops, so the redex needs depth 4; x : a, settled
+    # earlier in the same search, does not lend R a verdict at depth 3
+    rule = {"ba": "Ax", "ehr": "AxNu"}[name]
     spec = all_theories[name]
     ctx = {"f": P("a -> b"), "g": P("a -> b"), "x": P("a"), "y": P("b")}
     m = T(rf"(\z. f x) (g ((\w. x) {arg}))")
-    assert derives(spec, ctx, m, P("b"), SearchBudget(max_depth=2))[0] is Verdict.UNKNOWN
-    v, d = derives(spec, ctx, m, P("b"), SearchBudget(max_depth=3))
+    assert derives(spec, ctx, m, P("b"), SearchBudget(max_depth=3))[0] is Verdict.UNKNOWN
+    v, d = derives(spec, ctx, m, P("b"), SearchBudget(max_depth=4))
     assert v is Verdict.YES
     assert check_derivation(spec, d)
+    # the outer redex's argument g R, its argument R, and R's argument arg
+    dropped = d.premises[1].premises[1].premises[1]
+    assert (dropped.term, dropped.rule) == (T(arg), rule)
 
 
 def test_candidate_size_is_inert(ba, ehr):

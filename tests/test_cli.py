@@ -407,6 +407,20 @@ def test_misspelt_theory_file_exit_two(tmp_path, capsys, text, err):
     assert run(capsys, "classify", "--theory", f"file:{path}") == (2, "", err)
 
 
+def test_special_atom_in_theory_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "om.json"
+    path.write_text(
+        '{"atoms": ["a", "omega"], "omega": false, '
+        '"rules": ["arrow-inter", "eta", "omega-top"]}'
+    )
+    assert run(capsys, "leq", "--theory", f"file:{path}", "a", "omega") == (
+        2,
+        "",
+        "error: theory spec field 'atoms' lists 'omega', "
+        "which only the field 'omega' may give\n",
+    )
+
+
 def test_missing_theory_file_exit_two(capsys):
     code, _, err = run(capsys, "leq", "--theory", "file:/nope.json", "a", "a")
     assert code == 2

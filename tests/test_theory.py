@@ -215,6 +215,25 @@ def test_json_unknown_field_or_rule_is_refused(data, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "data, special",
+    [
+        ({"atoms": ["a", "omega"], "omega": False,
+          "rules": ["arrow-inter", "eta", "omega-top"]}, "omega"),
+        ({"atoms": ["nu"], "nu": True, "rules": ["arrow-inter", "eta", "nu-top"]}, "nu"),
+    ],
+)
+def test_json_special_atom_in_atoms_is_refused(data, special):
+    # omega and nu come only from their boolean fields, which spec_to_json
+    # writes, so a file cannot say both that it has omega and that it has not
+    with pytest.raises(ItypesError) as info:
+        spec_from_json(data)
+    assert str(info.value) == (
+        f"theory spec field 'atoms' lists {special!r}, "
+        f"which only the field {special!r} may give"
+    )
+
+
 def test_json_fields_may_be_left_out():
     assert spec_from_json({}) == make_spec(set(), frozenset())
     data = {"atoms": ["a"], "rules": ["arrow-inter", "eta"], "name": None}
