@@ -523,7 +523,8 @@ class _Search:
             m, depth = c, depth - 1
         if depth <= 0:
             return None
-        if exact and _free_where_typed(self.spec, ctx, m):
+        # ``_dropped_argument`` has checked n itself
+        if exact and m is not n and _free_where_typed(self.spec, ctx, m):
             raise _Untypable
         if type(m) is Lam:
             if self.spec.nu is not None:

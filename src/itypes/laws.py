@@ -583,8 +583,10 @@ def run_all(spec: TheorySpec, atoms, size: int, seed: int) -> list[LawResult]:
         raise ValueError(f"the universe size must be at least 1, not {size}")
     results = []
     results += preorder_laws(spec, atoms, size)
-    results.append(oracle_agreement_law(spec, atoms, min(size, 4)))
-    results.append(trace_soundness_law(spec, atoms, min(size, 4)))
+    # these two laws run on at most the size-3 universe; every type has an
+    # odd node count, so the size-4 universe would be the same
+    results.append(oracle_agreement_law(spec, atoms, min(size, 3)))
+    results.append(trace_soundness_law(spec, atoms, min(size, 3)))
     results.append(normal_form_laws(spec, atoms, size))
     results += filter_laws(spec, atoms, size)
     results.append(fun_phi_law(spec, atoms, size))

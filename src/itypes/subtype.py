@@ -484,34 +484,31 @@ class OracleResult(enum.Enum):
     NOT_FOUND = "not-found"
 
 
-DEFAULT_UNIVERSE_CAP = 20000
+UNIVERSE_CAP = 20000
 
 
-def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
+def _saturate(spec: TheorySpec, atoms: frozenset, bound: int):
+    """The least preorder on the universe closed under refl, incl, trans,
+    pairing, eta where the theory has it, and the theory's axioms."""
     universe = enumerate_types(atoms, bound)
-    if len(universe) > cap:
+    if len(universe) > UNIVERSE_CAP:
         raise ResourceLimit(
-            f"oracle universe has {len(universe)} types (cap {cap})"
+            f"oracle universe has {len(universe)} types (cap {UNIVERSE_CAP})"
         )
     index = {t: i for i, t in enumerate(universe)}
     n = len(universe)
-    succ = [0] * n  # succ[i] bit j set <=> universe[i] <= universe[j]
+    omega, oo, nu = spec.omega, spec.omega_arrow, spec.nu
+    rules = spec.rules
+    top = 1 << index[omega] if Rule.OMEGA_TOP in rules and omega in index else 0
+    # succ[i] bit j set <=> universe[i] <= universe[j]; refl and omega-top
+    succ = [1 << i | top for i in range(n)]
 
     def add(i, j):
         succ[i] |= 1 << j
 
-    omega, oo, nu = spec.omega, spec.omega_arrow, spec.nu
-    rules = spec.rules
     arrows = [(i, t) for i, t in enumerate(universe) if isinstance(t, Arrow)]
     inters = [(i, t) for i, t in enumerate(universe) if isinstance(t, Inter)]
 
-    for i, t in enumerate(universe):
-        add(i, i)
-        dbl = Inter(t, t)
-        if dbl in index:
-            add(i, index[dbl])
-        if Rule.OMEGA_TOP in rules and omega in index:
-            add(i, index[omega])
     for i, t in inters:
         add(i, index[t.left])
         add(i, index[t.right])
@@ -539,35 +536,22 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
             add(index[rhs], index[at])
 
     while True:
-        # transitive closure over the current edge set
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(n):
-                acc = succ[i]
-                rest = acc
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    acc |= succ[j]
-                if acc != succ[i]:
-                    succ[i] = acc
-                    dirty = True
-        # pairing (derivable from idem + mon, but stays inside the universe)
+        # transitive closure of the current edges (Warshall, on the rows)
+        for k, row in enumerate(succ):
+            bit = 1 << k
+            for i, r in enumerate(succ):
+                if r & bit:
+                    succ[i] = r | row
+        # pairing: i <= l and i <= r give i <= l & r.  It covers idem (l = r
+        # = t, as succ[t] holds t) and mon (t = l & r below u = l' & r' from
+        # l <= l' and r <= r': the incl edges and the closure put l' and r'
+        # in succ[t]), so neither needs a pass of its own
         grew = False
         for j, u in inters:
             li, ri = index[u.left], index[u.right]
             for i in range(n):
                 if not (succ[i] >> j) & 1:
                     if (succ[i] >> li) & 1 and (succ[i] >> ri) & 1:
-                        add(i, j)
-                        grew = True
-        # mon
-        for i, t in inters:
-            li, ri = index[t.left], index[t.right]
-            for j, u in inters:
-                if not (succ[i] >> j) & 1:
-                    if (succ[li] >> index[u.left]) & 1 and (succ[ri] >> index[u.right]) & 1:
                         add(i, j)
                         grew = True
         # eta
@@ -583,27 +567,21 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int, cap: int):
             return index, succ
 
 
-def oracle_relation(spec: TheorySpec, atoms, bound: int, cap: int = DEFAULT_UNIVERSE_CAP):
+def oracle_relation(spec: TheorySpec, atoms, bound: int):
     """The saturated subtype relation over the types of size at most bound
     over atoms and the theory's constants, for bulk tests; kept with the
-    theory (``TheorySpec.relation``) without validating it.
+    theory (``TheorySpec.relation``) without validating it.  A universe of
+    more than ``UNIVERSE_CAP`` types raises ``ResourceLimit``.
 
     Returns (index map type->i, successor bitmasks)."""
     atoms = spec.universe_atoms(atoms)
-    key = ("oracle", atoms, bound, cap)
-    return spec.relation(key, lambda: _saturate(spec, atoms, bound, cap))
+    return spec.relation(("oracle", atoms, bound), lambda: _saturate(spec, atoms, bound))
 
 
-def leq_oracle(
-    spec: TheorySpec,
-    a: Type,
-    b: Type,
-    universe_bound: int,
-    cap: int = DEFAULT_UNIVERSE_CAP,
-) -> OracleResult:
+def leq_oracle(spec: TheorySpec, a: Type, b: Type, universe_bound: int) -> OracleResult:
     """Semi-decision by saturation: YES is sound; NOT_FOUND only means no
     derivation fits inside the universe."""
-    index, succ = oracle_relation(spec, type_atoms(a) | type_atoms(b), universe_bound, cap)
+    index, succ = oracle_relation(spec, type_atoms(a) | type_atoms(b), universe_bound)
     if a not in index or b not in index:
         return OracleResult.NOT_FOUND
     if (succ[index[a]] >> index[b]) & 1:

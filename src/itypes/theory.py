@@ -8,6 +8,7 @@ eta) and an optional table equating atoms with intersections of arrows.
 from __future__ import annotations
 
 import enum
+import graphlib
 import json
 import string
 from functools import cached_property
@@ -284,28 +285,13 @@ def _violations(spec: TheorySpec) -> list[Violation]:
             continue
         deps[key] = type_atoms(rhs)
 
-    # the equation graph must be acyclic so expansion terminates; a
-    # depth-first walk on an explicit stack, so a long chain of equations
-    # is bounded only by memory
-    done: set[str] = set()
-    for root in deps:
-        if root in done:
-            continue
-        on_path = {root}
-        todo = [(root, iter(deps[root]))]
-        while todo:
-            a, rest = todo[-1]
-            b = next((b for b in rest if b in deps and b not in done), None)
-            if b is None:
-                todo.pop()
-                on_path.discard(a)
-                done.add(a)
-            elif b in on_path:
-                out.append(Violation.CYCLIC_EQUATIONS)
-                return out
-            else:
-                on_path.add(b)
-                todo.append((b, iter(deps[b])))
+    # the equation graph must be acyclic so expansion terminates; graphlib
+    # finds a cycle on an explicit stack, so a long chain of equations is
+    # bounded only by memory
+    try:
+        graphlib.TopologicalSorter(deps).prepare()
+    except graphlib.CycleError:
+        out.append(Violation.CYCLIC_EQUATIONS)
     return out
 
 

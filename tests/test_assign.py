@@ -580,7 +580,8 @@ def test_dropped_abstraction_with_unbound_body_has_nu(ehr):
     ],
 )
 def test_dropped_argument_typed_by_an_axiom(all_theories, name, ctx, term, rule, arg_type):
-    # the contractum x needs one level below the redex, the argument none
+    # the contractum x needs one level below the redex, and the dropped
+    # argument is searched one level below the redex too
     spec = all_theories[name]
     ctx = {x: P(t) for x, t in ctx.items()}
     assert derives(spec, ctx, T(term), P("a"), SearchBudget(max_depth=1))[0] is Verdict.UNKNOWN
@@ -589,6 +590,40 @@ def test_dropped_argument_typed_by_an_axiom(all_theories, name, ctx, term, rule,
         assert v is Verdict.YES
         assert check_derivation(spec, d)
         assert (d.premises[1].rule, d.premises[1].type) == (rule, P(arg_type))
+
+
+@pytest.mark.parametrize(
+    "ctx, term, ty",
+    [
+        # the abstraction's body runs out of depth
+        ({}, rf"\y. {OMEGA_TERM}", "a -> a"),
+        # the contractum (\w. w) y is typed, but the head redex drops an
+        # argument that runs out of depth, so the spine has no premise
+        ({"y": "a"}, rf"(\z. \w. w) ({OMEGA_TERM}) y", "a"),
+    ],
+)
+def test_unknown_below_an_abstraction_or_a_spine(ba, ctx, term, ty):
+    ctx = {x: P(t) for x, t in ctx.items()}
+    assert derives(ba, ctx, T(term), P(ty)) == (Verdict.UNKNOWN, None)
+
+
+def test_dropped_argument_walked_once(monkeypatch):
+    # _dropped_argument checks the argument y (y x) for a free variable the
+    # context cannot type; the synthesis checks only a term a head
+    # contraction reached, and y (y x) has no head redex
+    calls = []
+    walk = itypes.assign._free_where_typed
+
+    def counted(spec, ctx, n):
+        calls.append(n)
+        return walk(spec, ctx, n)
+
+    monkeypatch.setattr(itypes.assign, "_free_where_typed", counted)
+    spec = named_theory(NamedTheory.BA, 2)
+    ctx = {"x": P("a"), "y": P("a -> a")}
+    v, d = derives(spec, ctx, T(r"(\z. x) (y (y x))"), P("a"))
+    assert v is Verdict.YES and check_derivation(spec, d)
+    assert calls == [T("y (y x)")]
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,11 @@ def test_fun_implies_phi_skipped_where_neither_strict_nor_natural():
     assert "skipped" not in fun_phi_law(EHR0, EHR0.atoms, 3).to_json()
 
 
+def test_report_notes_neither_strict_nor_natural():
+    notes = adequacy_report(OMEGA_TOP_ONLY).notes
+    assert "neither strict nor natural: no adequacy guarantees apply" in notes
+
+
 def test_run_all_rejects_size_below_one(ba):
     for size in (0, -1):
         with pytest.raises(ValueError):

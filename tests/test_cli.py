@@ -407,6 +407,24 @@ def test_misspelt_theory_file_exit_two(tmp_path, capsys, text, err):
     assert run(capsys, "classify", "--theory", f"file:{path}") == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "text, violation",
+    [
+        ('{"atoms": ["1a"], "rules": ["arrow-inter", "eta"]}', "BadAtomName"),
+        ('{"atoms": ["a"], "rules": ["arrow-inter", "eta"], '
+         '"equations": {"b": "a -> a"}}', "BadEquationKey"),
+        ('{"atoms": ["a"], "rules": ["arrow-inter", "eta"], '
+         '"equations": {"a": "a -> a"}}', "CyclicEquations"),
+    ],
+)
+def test_invalid_theory_file_exit_two(tmp_path, capsys, text, violation):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(capsys, "classify", "--theory", f"file:{path}") == (
+        2, "", f"error: invalid theory spec: {violation}\n"
+    )
+
+
 def test_special_atom_in_theory_file_exit_two(tmp_path, capsys):
     path = tmp_path / "om.json"
     path.write_text(

@@ -385,9 +385,20 @@ def test_oracle_not_found_is_not_a_refutation(bcd):
     assert leq(bcd, P("omega"), P("omega -> omega"))
 
 
-def test_oracle_respects_universe_cap(bcd):
+def test_oracle_seeds_arrow_inter():
+    # an intersection of two arrows has 7 nodes, so only a size-7 universe
+    # holds one; without arrow-inter no other rule gives the pair
+    lhs, rhs = P("(a -> a) & (a -> b)"), P("a -> a & b")
+    ba = named_theory(NamedTheory.BA, 2)
+    assert leq_oracle(ba, lhs, rhs, 7) is OracleResult.YES
+    eta_only = make_spec({"a", "b"}, {Rule.ETA})
+    assert leq_oracle(eta_only, lhs, rhs, 7) is OracleResult.NOT_FOUND
+
+
+def test_oracle_respects_universe_cap(bcd, monkeypatch):
+    monkeypatch.setattr(subtype, "UNIVERSE_CAP", 100)
     with pytest.raises(ResourceLimit):
-        leq_oracle(bcd, P("a"), P("b"), 9, cap=100)
+        leq_oracle(bcd, P("a"), P("b"), 9)
 
 
 def test_dropped_theory_is_freed():

@@ -101,6 +101,19 @@ def test_equation_rhs_must_be_arrows_over_known_atoms():
     assert validate(ok) == []
 
 
+@pytest.mark.parametrize(
+    "atoms, equations, want",
+    [
+        ({"1a"}, {}, Violation.BAD_ATOM_NAME),
+        ({"a"}, {"b": "a -> a"}, Violation.BAD_EQUATION_KEY),
+        ({"a"}, {"a": "a -> a"}, Violation.CYCLIC_EQUATIONS),
+    ],
+)
+def test_single_violation(atoms, equations, want):
+    eqs = {k: parse_type(v) for k, v in equations.items()}
+    assert validate(make_spec(atoms, BA_RULES, eqs)) == [want]
+
+
 def test_cyclic_equations_rejected():
     spec = make_spec(
         {"a", "b"},
