@@ -190,6 +190,7 @@ def derivation_error(spec: TheorySpec, d: Derivation):
                     and d.premises[0].ctx == d.ctx
                     and d.premises[0].term == d.term
                     and (p := leq_trace(spec, d.premises[0].type, d.type)) is not None
+                    and p.lhs is d.premises[0].type and p.rhs is d.type
                     and check_proof(spec, p)
                 )
             case _:
@@ -393,7 +394,16 @@ class _Search:
         chain of head contractions is followed on a loop, and only its end
         is searched: the stack does not grow with the chain.  A redex whose
         dropped argument has no type is refuted: without omega, a typed
-        term has every subterm typed, and reduction keeps typings."""
+        term has every subterm typed, and reduction keeps typings.
+
+        The contractum of apps[i] is the function of the contractum of
+        apps[i + 1], and every derivation the search makes of an
+        application is a path down its spine through ArrowE function
+        premises and Leq steps: InterI is made only for abstractions and
+        arguments, and a target above omega is answered before contracting.
+        So expansion walks that path down to the contractum of apps[0],
+        expands it, and rebuilds the path with its argument premises as
+        they were; a node off the path ends the judgment UNKNOWN."""
         chain = []  # each redex spine passed, with its depth
         while True:
             chain.append((apps, depth))
@@ -405,49 +415,22 @@ class _Search:
         if v is Verdict.YES:
             try:
                 for apps, depth in reversed(chain):
-                    d = self._expand_spine(ctx, apps, d, depth)
+                    path, i = [], len(apps) - 1  # d derives apps[i]'s contractum
+                    while i:
+                        path.append((d, i))
+                        if d.rule == "ArrowE":
+                            i -= 1
+                        elif d.rule != "Leq":
+                            return Verdict.UNKNOWN, None
+                        d = d.premises[0]
+                    d = self._expand_redex(ctx, apps[0], d, depth)
                     if d is None:
                         return Verdict.UNKNOWN, None
+                    for e, i in reversed(path):
+                        d = _node(e.rule, ctx, apps[i], e.type, (d, *e.premises[1:]))
             except _Untypable:
                 return Verdict.NO, None
         return v, d
-
-    def _expand_spine(self, ctx, apps, d, depth):
-        """d, a derivation of the contractum of apps[-1], rebuilt for
-        apps[-1]; None when no type for the redex's argument is found.
-
-        The contractum of apps[i] is the function of the contractum of
-        apps[i + 1], so an ArrowE step moves from apps[i] to apps[i - 1];
-        Leq and InterI keep the subject.  The walk keeps an explicit stack
-        and expands the premises left to right, so d's depth is bounded
-        only by memory."""
-        out = []  # expanded derivations, None for a failed one
-        # frames (d, i, done): d derives the contractum of apps[i]; done
-        # once d's premises are expanded
-        todo = [(d, len(apps) - 1, False)]
-        while todo:
-            d, i, done = todo.pop()
-            m = apps[i]
-            if done:
-                if d.rule == "ArrowE":
-                    premises = (out.pop(), d.premises[1])
-                else:
-                    n = len(out) - len(d.premises)
-                    premises = tuple(out[n:])
-                    del out[n:]
-                if any(p is None for p in premises):
-                    out.append(None)
-                else:
-                    out.append(_node(d.rule, ctx, m, d.type, premises))
-            elif i == 0:
-                out.append(self._expand_redex(ctx, m, d, depth))
-            else:
-                todo.append((d, i, True))
-                if d.rule == "ArrowE":
-                    todo.append((d.premises[0], i - 1, False))
-                else:
-                    todo += ((p, i, False) for p in reversed(d.premises))
-        return out.pop()
 
     def _expand_redex(self, ctx, redex, d, depth):
         """Subject expansion: from d, a derivation of M[x := N] : T, one of

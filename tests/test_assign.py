@@ -113,6 +113,19 @@ def test_leq_node_checked_without_trusting_the_decider(ba, monkeypatch):
     assert derivation_error(ba, bad) == ()
 
 
+def test_leq_node_needs_a_proof_of_its_own_step(ba, monkeypatch):
+    # a prover that proves some other step passes no Leq step: the trace's
+    # root must be the node's step
+    import itypes.assign
+    from itypes.subtype import Proof
+
+    monkeypatch.setattr(itypes.assign, "leq_trace", lambda spec, a, b: Proof("refl", a, a))
+    ax = make_derivation("Ax", {"x": P("a")}, T("x"), P("a"))
+    bad = make_derivation("Leq", {"x": P("a")}, T("x"), P("b"), (ax,))
+    assert not check_derivation(ba, bad)
+    assert derivation_error(ba, bad) == ()
+
+
 # ---------------------------------------------------------------- golden typings
 
 
@@ -490,6 +503,42 @@ def test_redex_spine_expanded(bcd):
     v, d = derives(bcd, ctx, m, P("a"))
     assert v is Verdict.YES
     assert check_derivation(bcd, d)
+
+
+def _function_chain(d):
+    rules = [d.rule]
+    while d.premises:
+        d = d.premises[0]
+        rules.append(d.rule)
+    return rules
+
+
+PATH_CTX = {"x": P("a -> b & c"), "y": P("a")}
+
+
+def test_redex_expanded_below_a_leq_step():
+    ba3 = named_theory(NamedTheory.BA, 3)
+    m = T(r"(\z. z) x y")
+    v, d = derives(ba3, PATH_CTX, m, P("c"))
+    assert v is Verdict.YES
+    assert check_derivation(ba3, d)
+    # the redex (\z. z) x is the function premise of an ArrowE under a Leq
+    assert _function_chain(d) == ["Leq", "ArrowE", "ArrowE", "ArrowI", "Ax"]
+    assert derives(ba3, PATH_CTX, m, P("a"))[0] is Verdict.NO
+
+
+def test_redex_chain_expanded_along_its_spines():
+    ba3 = named_theory(NamedTheory.BA, 3)
+    ctx = {"v": P("a"), **PATH_CTX}
+    v, d = derives(ba3, ctx, T(r"(\w. \z. z) v x y"), P("c"))
+    assert v is Verdict.YES
+    assert check_derivation(ba3, d)
+    assert _function_chain(d) == [
+        "Leq", "ArrowE", "ArrowE", "ArrowE", "ArrowI", "ArrowI", "Ax"
+    ]
+    # an unbound u, dropped by the outer redex, refutes the whole chain
+    v, d = derives(ba3, PATH_CTX, T(r"(\w. \z. z) u x y"), P("c"))
+    assert v is Verdict.NO and d is None
 
 
 def test_dropped_argument_typed_by_synthesis(ba):
