@@ -250,19 +250,35 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
 
 
 def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
-    """Decide a <= b without building a proof.  Decisions are memoised in
-    the theory's tables; the case split is the one ``_build`` follows."""
+    """Decide a <= b without building a proof; the case split is the one
+    ``_build`` follows.  The meet is a greatest lower bound, so an
+    intersection target is decided from its parts and not memoised; the
+    decisions on atom and arrow targets are memoised in the theory's tables.
+    An arrow target reuses the last head selection when its left type and
+    domain are the last ones selected for."""
     tables = spec.tables  # before the shortcut: an invalid spec raises here
     if a is b:
+        return True
+    if isinstance(b, Inter):
+        # a is below every part, taken left to right on a stack; a shared
+        # intersection part is expanded once
+        seen = set()
+        todo = [b.right, b.left]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Inter):
+                if t not in seen:
+                    seen.add(t)
+                    todo += (t.right, t.left)
+            elif not leq(spec, a, t):
+                return False
         return True
     row = tables.leq.get(a)
     if row is not None:
         ok = row.get(b)
         if ok is not None:
             return ok
-    if isinstance(b, Inter):
-        ok = leq(spec, a, b.left) and leq(spec, a, b.right)
-    elif isinstance(b, Atom):
+    if isinstance(b, Atom):
         if b is spec.omega:
             ok = True
         elif b in conjuncts(a):
@@ -279,9 +295,16 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
         if (spec.omega_eta or (spec.omega_lazy and heads)) and leq(spec, spec.omega, d):
             ok = True
         else:
-            # beta-soundness step: take every head whose domain absorbs c
-            cods = [h.cod for h in heads if leq(spec, c, h.dom)]
-            ok = bool(cods) and leq(spec, inter_of(cods), d)
+            # beta-soundness step: take every head whose domain absorbs c;
+            # the slot is set after the subgoals, which may set it too
+            last = tables.selection
+            if last is not None and last[0] is a and last[1] is c:
+                cod = last[2]
+            else:
+                cods = [h.cod for h in heads if leq(spec, c, h.dom)]
+                cod = inter_of(cods) if cods else None
+                tables.selection = (a, c, cod)
+            ok = cod is not None and leq(spec, cod, d)
     # one row per left type; the cap counts decisions over all rows, and a
     # subgoal may have cleared the memo, so the row is looked up again
     memo = tables.leq

@@ -59,9 +59,13 @@ class TheoryTables:
     """Memo tables of one theory, filled by the subtype decision and by
     normalisation.
 
-    ``leq`` maps a left type ``a`` to its row, a dict from ``b`` to the
-    decision of ``a <= b``, and ``leq_size`` counts the decisions over all
-    rows, which ``TABLE_CAP`` bounds; ``heads`` maps a type to its arrow
+    ``leq`` maps a left type ``a`` to its row, a dict from an atom or arrow
+    ``b`` to the decision of ``a <= b`` (an intersection target is decided
+    from its parts), and ``leq_size`` counts the decisions over all rows,
+    which ``TABLE_CAP`` bounds; ``selection`` is the last head selection of
+    an arrow target, ``(a, c, meet of the codomains of the heads of a whose
+    domain c lies below, or None)``, so that arrow targets with the same
+    ``a`` and domain ``c`` select once; ``heads`` maps a type to its arrow
     heads, and ``head_proofs`` to those heads with their proofs; ``canon``
     maps a type to its canonical conjuncts; ``in_theory`` holds the types
     whose atoms the search has found in the theory.  Types are hash-consed,
@@ -69,11 +73,13 @@ class TheoryTables:
     the canonical types of one, are kept by ``TheorySpec.relation``.
     """
 
-    __slots__ = ("leq", "leq_size", "heads", "head_proofs", "canon", "in_theory")
+    __slots__ = ("leq", "leq_size", "selection", "heads", "head_proofs", "canon",
+                 "in_theory")
 
     def __init__(self):
         self.leq: dict[Type, dict[Type, bool]] = {}
         self.leq_size = 0
+        self.selection: tuple[Type, Type, Type | None] | None = None
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
         self.head_proofs: dict[Type, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}

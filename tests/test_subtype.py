@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import tracemalloc
 import weakref
 
@@ -159,24 +160,101 @@ def test_relations_keep_at_most_the_cap(monkeypatch):
 
 
 def test_memo_bytes_per_entry():
-    # The leq memo keeps one row per left type, a dict from right type to
-    # decision, so a decision costs one dict slot and no key tuple.  Freeing
-    # the memo of the bcd size-5 matrix (237 types, 55,932 decisions) gives
-    # back about 39 traced bytes per decision; keyed by (a, b) tuples in one
-    # dict it gave back about 101.
+    # The leq memo keeps one row per left type, a dict from an atom or arrow
+    # right type to decision, so a decision costs one dict slot and no key
+    # tuple; an intersection target is decided from its parts and not kept.
+    # Freeing the memo of the bcd size-5 matrix (237 types, 28,320 decisions;
+    # 55,932 while intersection targets were kept) gives back about 39 traced
+    # bytes per decision; keyed by (a, b) tuples in one dict it gave back
+    # about 101.
     tracemalloc.start()
     try:
         spec = named_theory(NamedTheory.BCD, 2)
         tables = spec.tables
         _universe(spec, frozenset({"a", "b"}), 5)
         entries = sum(len(row) for row in tables.leq.values())
+        inter_keys = sum(isinstance(b, Inter) for row in tables.leq.values() for b in row)
         full = tracemalloc.get_traced_memory()[0]
         tables.leq.clear()
         freed = full - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert entries == tables.leq_size > 50_000
+    assert entries == tables.leq_size == 28_320
+    assert inter_keys == 0
     assert freed / entries < 64
+
+
+@pytest.mark.parametrize("which", [NamedTheory.BCD, NamedTheory.AO])
+def test_intersection_column_is_the_meet_of_its_parts(which):
+    # the meet is a greatest lower bound: a <= l & r exactly when a <= l and
+    # a <= r, so an intersection target is decided from its parts, not kept
+    spec = named_theory(which, 2)
+    types, index, rows = _universe(spec, frozenset({"a", "b"}), 5)
+
+    def column(j):
+        return [(row >> j) & 1 for row in rows]
+
+    inters = [(j, t) for j, t in enumerate(types) if isinstance(t, Inter)]
+    assert inters
+    for j, t in inters:
+        left, right = column(index[t.left]), column(index[t.right])
+        assert column(j) == [x & y for x, y in zip(left, right)]
+    keys = [b for row in spec.tables.leq.values() for b in row]
+    assert keys and not any(isinstance(b, Inter) for b in keys)
+
+
+def _matrix(spec, size, order=None):
+    types = enumerate_types(spec.universe_atoms({"a", "b"}), size)
+    pairs = [(i, j) for i in range(len(types)) for j in range(len(types))]
+    if order is not None:
+        order.shuffle(pairs)
+    return sorted(((i, j), leq(spec, types[i], types[j])) for i, j in pairs)
+
+
+def test_head_selection_leaks_nothing_across_queries():
+    # the last head selection is reused only for the same left type and
+    # domain, so no query order changes an answer
+    rng = random.Random(25)
+    for which in NamedTheory:
+        want = _matrix(named_theory(which, 2), 4)
+        assert _matrix(named_theory(which, 2), 4, rng) == want
+    # the first query selects the heads of its left type at domain a; each
+    # of the others shares only the domain or only the left type with it
+    queries = [(P(a), P(b)) for a, b in [("(a -> b) & (c -> b)", "a -> b"),
+                                         ("c -> b", "a -> b"),
+                                         ("(a -> b) & (c -> b)", "b -> b")]]
+    for which in NamedTheory:
+        alone = [leq(named_theory(which, 3), a, b) for a, b in queries]
+        assert alone == [True, False, False]
+        for order in ([0, 1, 2], [0, 2, 1]):
+            spec = named_theory(which, 3)
+            assert [leq(spec, *queries[i]) for i in order] == [alone[i] for i in order]
+        spec = named_theory(which, 3)
+        leq(spec, *queries[0])
+        last = spec.tables.selection
+        assert last[0] is queries[0][0] and last[1] is Atom("a")
+
+
+def test_matrix_is_unchanged_under_a_small_cap(monkeypatch):
+    want = _universe(named_theory(NamedTheory.BCD, 2), frozenset({"a", "b"}), 4)[2]
+    monkeypatch.setattr(subtype, "TABLE_CAP", 64)
+    capped = named_theory(NamedTheory.BCD, 2)  # a new spec has new tables
+    assert _universe(capped, frozenset({"a", "b"}), 4)[2] == want
+    assert 0 < capped.tables.leq_size <= 64
+
+
+def test_shared_intersection_part_is_expanded_once(ba):
+    # a target doubled 60 times has 2**60 paths to its leaf and 61 nodes;
+    # a right-nested one 5000 deep needs no recursion
+    t = Atom("a")
+    for _ in range(60):
+        t = Inter(t, t)
+    assert leq(ba, Inter(Atom("b"), Atom("a")), t)
+    assert not leq(ba, Atom("b"), t)
+    right = Atom("a")
+    for _ in range(5000):
+        right = Inter(Atom("a"), right)
+    assert leq(ba, Atom("a"), right) and not leq(ba, Atom("b"), right)
 
 
 def test_deep_type_is_below_itself(ba):
