@@ -16,6 +16,7 @@ by exact refutations.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import namedtuple
 
 from .errors import ResourceLimit, UnknownAtomError
@@ -101,27 +102,22 @@ def make_derivation(rule, ctx, term, type_, premises=()):
     return Derivation(rule, _ctx_tuple(ctx), term, type_, tuple(premises))
 
 
-class _Context(dict):
-    """A context of the search: its bindings, and in ``key`` their sorted
-    (variable, type) tuple, made once with the context.  The tuple keys the
-    context's verdicts, so the same bindings made in any order share cache
-    entries, and it is the ``ctx`` of every derivation node made under the
-    context."""
-
-    __slots__ = ("key",)
-
-
-def _context(bindings, x=None, t=None) -> _Context:
-    """bindings as a search context, with x bound to t when x is given."""
-    ctx = _Context(bindings)
-    if x is not None:
-        ctx[x] = t
-    ctx.key = _ctx_tuple(ctx)
-    return ctx
+def _lookup(ctx: tuple, x: str):
+    """The type ctx binds x to, or None.  A search context is the sorted
+    (variable, type) tuple that keys its verdicts and is the ``ctx`` of each
+    derivation node made under it.  (x,) sorts just before every (x, T), so
+    the bisection compares no two types."""
+    i = bisect_left(ctx, (x,))
+    if i < len(ctx) and ctx[i][0] == x:
+        return ctx[i][1]
+    return None
 
 
-def _node(rule, ctx: _Context, term, type_, premises=()):
-    return Derivation(rule, ctx.key, term, type_, premises)
+def _bind(ctx: tuple, x: str, t: Type) -> tuple:
+    """ctx with x bound to t, in place of any binding of x."""
+    i = bisect_left(ctx, (x,))
+    j = i + 1 if i < len(ctx) and ctx[i][0] == x else i
+    return ctx[:i] + ((x, t),) + ctx[j:]
 
 
 def check_derivation(spec: TheorySpec, d: Derivation) -> bool:
@@ -132,8 +128,12 @@ def check_derivation(spec: TheorySpec, d: Derivation) -> bool:
 
 
 def derivation_error(spec: TheorySpec, d: Derivation):
-    """Path (tuple of premise indices) to the first incorrect node, or None."""
+    """Path (tuple of premise indices) to the first incorrect node, or None.
+    The root's ctx must bind its variables in strictly increasing order, as
+    ``make_derivation`` writes it; the premise checks keep that order."""
     spec.require_valid()
+    if any(x >= y for (x, _), (y, _) in zip(d.ctx, d.ctx[1:])):
+        return ()
 
     # preorder on an explicit stack, so depth is bounded only by memory; a
     # path is kept as the pair (parent's path, index), () at the root
@@ -144,7 +144,7 @@ def derivation_error(spec: TheorySpec, d: Derivation):
             case "Ax":
                 ok = (
                     isinstance(d.term, Var)
-                    and dict(d.ctx).get(d.term.name) == d.type
+                    and _lookup(d.ctx, d.term.name) == d.type
                     and not d.premises
                 )
             case "AxOmega":
@@ -163,8 +163,7 @@ def derivation_error(spec: TheorySpec, d: Derivation):
                     and len(d.premises) == 1
                     and d.premises[0].term == d.term.body
                     and d.premises[0].type == d.type.cod
-                    and dict(d.premises[0].ctx)
-                    == {**dict(d.ctx), d.term.binder: d.type.dom}
+                    and d.premises[0].ctx == _bind(d.ctx, d.term.binder, d.type.dom)
                 )
             case "ArrowE":
                 ok = (
@@ -211,10 +210,10 @@ def derivation_error(spec: TheorySpec, d: Derivation):
 def _via_leq(ctx, term, got: Derivation, want: Type) -> Derivation:
     if got.type is want:
         return got
-    return _node("Leq", ctx, term, want, (got,))
+    return Derivation("Leq", ctx, term, want, (got,))
 
 
-def _retarget(d: Derivation, ctx: _Context, m: Term, hole=None) -> Derivation:
+def _retarget(d: Derivation, ctx: tuple, m: Term, hole=None) -> Derivation:
     """d, a derivation of m under another context, rebuilt under ctx.
 
     With ``hole = (x, b)``, d derives m[x := N] instead, and each free x of
@@ -229,15 +228,15 @@ def _retarget(d: Derivation, ctx: _Context, m: Term, hole=None) -> Derivation:
             n = len(out) - len(d.premises)
             premises = tuple(out[n:])
             del out[n:]
-            out.append(_node(d.rule, ctx, m, d.type, premises))
+            out.append(Derivation(d.rule, ctx, m, d.type, premises))
         elif hole is not None and type(m) is Var and m.name == hole[0]:
-            out.append(_via_leq(ctx, m, _node("Ax", ctx, m, hole[1]), d.type))
+            out.append(_via_leq(ctx, m, Derivation("Ax", ctx, m, hole[1]), d.type))
         else:
             todo.append((d, ctx, m, hole, True))
             if d.rule == "ArrowI":
                 if hole is not None and m.binder == hole[0]:
                     hole = None  # shadowed
-                inner = _context(ctx, m.binder, d.type.dom)
+                inner = _bind(ctx, m.binder, d.type.dom)
                 todo.append((d.premises[0], inner, m.body, hole, False))
             elif d.rule == "ArrowE":
                 fun, arg = d.premises
@@ -274,7 +273,7 @@ def _free_where_typed(spec: TheorySpec, ctx, n: Term) -> bool:
         m, bound, k = todo.pop()
         kind = type(m)
         if kind is Var:
-            if m.name not in bound and m.name not in ctx:
+            if m.name not in bound and _lookup(ctx, m.name) is None:
                 return True
         elif kind is App:
             todo += ((m.fun, bound, k + 1), (m.arg, bound, 0))
@@ -294,11 +293,11 @@ class _Search:
         spec.tables  # an invalid spec raises here, before any search
         self.spec = spec
         self.budget = budget
-        self.cache: dict = {}  # (ctx.key, term, type, depth) -> (verdict, d)
+        self.cache: dict = {}  # (ctx, term, type, depth) -> (verdict, d)
 
     def run(self, ctx: Basis, m: Term, a: Type) -> tuple[Verdict, Derivation | None]:
         try:
-            return self._derive(_context(ctx), m, a, self.budget.max_depth)
+            return self._derive(_ctx_tuple(ctx), m, a, self.budget.max_depth)
         except RecursionError:
             # the interpreter's stack bounds the search as max_depth does;
             # nothing is cached before its subsearches return
@@ -307,7 +306,7 @@ class _Search:
     def _derive(self, ctx, m, a, depth):
         if depth <= 0:
             return Verdict.UNKNOWN, None
-        key = (ctx.key, m, a, depth)  # hash-consed nodes: hashed by identity
+        key = (ctx, m, a, depth)  # hash-consed nodes: hashed by identity
         hit = self.cache.get(key)
         if hit is None:
             hit = self.cache[key] = self._derive_uncached(ctx, m, a, depth)
@@ -316,12 +315,12 @@ class _Search:
     def _derive_uncached(self, ctx, m, a, depth):
         spec, omega = self.spec, self.spec.omega
         if omega is not None and leq(spec, omega, a):
-            return Verdict.YES, _via_leq(ctx, m, _node("AxOmega", ctx, m, omega), a)
+            return Verdict.YES, _via_leq(ctx, m, Derivation("AxOmega", ctx, m, omega), a)
         kind = type(m)
         if kind is Var:
-            t = ctx.get(m.name)
+            t = _lookup(ctx, m.name)
             if t is not None and leq(spec, t, a):
-                return Verdict.YES, _via_leq(ctx, m, _node("Ax", ctx, m, t), a)
+                return Verdict.YES, _via_leq(ctx, m, Derivation("Ax", ctx, m, t), a)
             return Verdict.NO, None
         if kind is Lam:
             return self._derive_lam(ctx, m, a, depth)
@@ -341,7 +340,7 @@ class _Search:
             if type(t) is Arrow:
                 v, d = self._lam_arrow(ctx, m, t, depth)
             elif t is spec.nu:
-                v, d = Verdict.YES, _node("AxNu", ctx, m, t)
+                v, d = Verdict.YES, Derivation("AxNu", ctx, m, t)
             elif t.name in spec.equations:
                 v, d = self._lam_equation(ctx, m, t, depth)
             else:
@@ -356,10 +355,10 @@ class _Search:
         return Verdict.YES, _via_leq(ctx, m, d, a)
 
     def _lam_arrow(self, ctx, m, arrow, depth):
-        inner = _context(ctx, m.binder, arrow.dom)
+        inner = _bind(ctx, m.binder, arrow.dom)
         v, d = self._derive(inner, m.body, arrow.cod, depth - 1)
         if v is Verdict.YES:
-            return v, _node("ArrowI", ctx, m, arrow, (d,))
+            return v, Derivation("ArrowI", ctx, m, arrow, (d,))
         return v, None
 
     def _lam_equation(self, ctx, m, atom, depth):
@@ -376,7 +375,7 @@ class _Search:
         """Combine per-conjunct derivations with InterI, right-nested."""
         d = parts[-1][1]
         for t, e in reversed(parts[:-1]):
-            d = _node("InterI", ctx, m, Inter(t, d.type), (e, d))
+            d = Derivation("InterI", ctx, m, Inter(t, d.type), (e, d))
         return d
 
     # -- application: exact spine inversion for a variable head, contraction
@@ -427,7 +426,7 @@ class _Search:
                     if d is None:
                         return Verdict.UNKNOWN, None
                     for e, i in reversed(path):
-                        d = _node(e.rule, ctx, apps[i], e.type, (d, *e.premises[1:]))
+                        d = Derivation(e.rule, ctx, apps[i], e.type, (d, *e.premises[1:]))
             except _Untypable:
                 return Verdict.NO, None
         return v, d
@@ -464,15 +463,15 @@ class _Search:
             parts = [(t, _retarget(e, ctx, n)) for t, e in copies.items()]
             dn = self._inter_intro(ctx, n, parts)
         elif self.spec.omega is not None:
-            dn = _node("AxOmega", ctx, n, self.spec.omega)
+            dn = Derivation("AxOmega", ctx, n, self.spec.omega)
         else:
             dn = self._dropped_argument(ctx, n, depth - 1)
             if dn is None:
                 return None
         b = dn.type
-        body = _retarget(d, _context(ctx, x, b), lam.body, (x, b))
-        fun = _node("ArrowI", ctx, lam, Arrow(b, d.type), (body,))
-        return _node("ArrowE", ctx, redex, d.type, (fun, dn))
+        body = _retarget(d, _bind(ctx, x, b), lam.body, (x, b))
+        fun = Derivation("ArrowI", ctx, lam, Arrow(b, d.type), (body,))
+        return Derivation("ArrowE", ctx, redex, d.type, (fun, dn))
 
     def _dropped_argument(self, ctx, n, depth):
         """A derivation of n : B, with B the type ``_synthesize`` gives n,
@@ -515,7 +514,7 @@ class _Search:
             b = self._binder_type(ctx, m, depth)
             if b is None:
                 return None
-            s = self._synthesize(_context(ctx, m.binder, b), m.body, depth - 1)
+            s = self._synthesize(_bind(ctx, m.binder, b), m.body, depth - 1)
             return None if s is None else Arrow(b, s)
         head, apps = _spine(m)
         t, _, settled = self._spine_type(ctx, head, apps, depth)
@@ -552,8 +551,7 @@ class _Search:
                         s = self._synthesize(ctx, app.arg, depth - 1)
                     t = Arrow(c if s is None else s, t)
                 asks.append(t)
-            elif head.name in ctx and head.name not in bound:
-                t = ctx[head.name]
+            elif head.name not in bound and (t := _lookup(ctx, head.name)) is not None:
                 for app in apps:
                     heads = arrow_heads(spec, t)
                     if not heads:
@@ -577,7 +575,7 @@ class _Search:
         unbound, x N1 ... Ni has only the types above omega, and none
         without omega.  An argument the search cannot settle only drops a
         head, which weakens T_i."""
-        t = ctx.get(head.name)
+        t = _lookup(ctx, head.name)
         steps, settled = [], True
         k = len(apps)
         for i, app in enumerate(apps):
@@ -607,12 +605,12 @@ class _Search:
 
     def _spine_derivation(self, ctx, head, apps, steps, a):
         """The derivation of x N1 ... Nk : a that _invert_spine's steps give."""
-        d = _node("Ax", ctx, head, ctx[head.name])
+        d = Derivation("Ax", ctx, head, _lookup(ctx, head.name))
         for app, kept in zip(apps, steps):
             da = self._inter_intro(ctx, app.arg, [(h.dom, e) for h, e in kept])
             cod = inter_of([h.cod for h, _ in kept])
             df = _via_leq(ctx, app.fun, d, Arrow(da.type, cod))
-            d = _node("ArrowE", ctx, app, cod, (df, da))
+            d = Derivation("ArrowE", ctx, app, cod, (df, da))
         return _via_leq(ctx, apps[-1], d, a)
 
 

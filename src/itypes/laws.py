@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .assign import (
     SearchBudget,
     Verdict,
-    _context,
+    _ctx_tuple,
     _Search,
     _Untypable,
     check_derivation,
@@ -427,7 +427,7 @@ def _head_unbound(spec: TheorySpec, ctx, m) -> bool:
         m = m.fun
     try:
         _Search(spec, SearchBudget(max_depth=17))._dropped_argument(
-            _context(ctx), m.arg, 17)
+            _ctx_tuple(ctx), m.arg, 17)
     except _Untypable:
         return True
     return False

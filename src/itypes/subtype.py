@@ -178,15 +178,19 @@ def proof_to_json(p: Proof) -> dict:
 def _projections(t: Type):
     """The non-intersection leaves of t, left to right, each with its proof
     of t <= leaf by a chain of incl projections.  Made lazily on an explicit
-    stack, one projection per intersection node passed."""
+    stack, one projection per intersection node passed; a shared
+    intersection node is expanded once, as in ``conjuncts``."""
+    seen = set()
     todo = [(t, _refl(t))]
     while todo:
         t, p = todo.pop()
         if isinstance(t, Inter):
-            todo += (
-                (t.right, _trans(p, Proof("incl-r", t, t.right))),
-                (t.left, _trans(p, Proof("incl-l", t, t.left))),
-            )
+            if t not in seen:
+                seen.add(t)
+                todo += (
+                    (t.right, _trans(p, Proof("incl-r", t, t.right))),
+                    (t.left, _trans(p, Proof("incl-l", t, t.left))),
+                )
         else:
             yield t, p
 

@@ -108,9 +108,13 @@ class Inter(Type):
 
 def type_atoms(t: Type) -> frozenset[str]:
     names = set()
+    seen = set()  # each distinct node is visited once
     todo = [t]
     while todo:
         t = todo.pop()
+        if t in seen:
+            continue
+        seen.add(t)
         if isinstance(t, Atom):
             names.add(t.name)
         elif isinstance(t, Arrow):
@@ -124,15 +128,18 @@ def type_atoms(t: Type) -> frozenset[str]:
 
 def conjuncts(t: Type) -> list[Type]:
     """Flatten a binary intersection tree into its non-intersection leaves,
-    left to right."""
+    left to right.  A shared intersection node is expanded once."""
     if not isinstance(t, Inter):
         return [t]
     out = []
+    seen = set()
     todo = [t]  # an explicit stack, so depth is bounded only by memory
     while todo:
         t = todo.pop()
         if isinstance(t, Inter):
-            todo += (t.right, t.left)
+            if t not in seen:
+                seen.add(t)
+                todo += (t.right, t.left)
         else:
             out.append(t)
     return out

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -14,6 +15,9 @@ from itypes.assign import (
     derives,
     infer_types,
     make_derivation,
+    _bind,
+    _ctx_tuple,
+    _lookup,
     _Search,
 )
 from itypes.errors import UnknownAtomError, UnsupportedTheory
@@ -30,6 +34,7 @@ from itypes.syntax import (
     App,
     Arrow,
     Atom,
+    Inter,
     Lam,
     Var,
     inter_of,
@@ -899,3 +904,79 @@ def test_derivation_json_leq_entry_matches_its_node(ba):
     for wrong in bad:
         with pytest.raises(ValueError):
             derivation_from_json(wrong)
+
+
+# ---------------------------------------------------------------- the context tuple
+
+
+def test_bind_in_any_order_gives_the_sorted_tuple():
+    # names that prefix one another sort by the name alone
+    names = ["x", "x1", "x10", "x2", "y"]
+    basis = {x: Atom("ab"[i % 2]) for i, x in enumerate(names)}
+    for order in itertools.permutations(basis):
+        ctx = ()
+        for x in order:
+            ctx = _bind(ctx, x, basis[x])
+        assert ctx == _ctx_tuple(basis)
+
+
+def test_bind_replaces_a_bound_name():
+    ctx = _ctx_tuple({"x": P("a"), "y": P("b")})
+    assert _bind(ctx, "x", P("b -> a")) == _ctx_tuple({"x": P("b -> a"), "y": P("b")})
+    assert _lookup(_bind(ctx, "y", P("a")), "y") is P("a")
+
+
+def test_lookup_of_an_absent_name_is_none():
+    ctx = _ctx_tuple({"x": P("a"), "x2": P("b")})
+    assert _lookup(ctx, "x2") is P("b")
+    for x in ["a", "x1", "x10", "y", ""]:
+        assert _lookup(ctx, x) is None
+    assert _lookup((), "x") is None
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        (("x", Atom("a")), ("z", Atom("b")), ("y", Atom("b"))),  # out of order
+        (("x", Atom("a")), ("x", Atom("b"))),  # x bound twice
+    ],
+)
+def test_check_rejects_a_root_context_not_sorted_by_name(ba, ctx):
+    # bisection finds x : a in either, so only the order check rejects them
+    assert _lookup(ctx, "x") is Atom("a")
+    d = Derivation("Ax", ctx, Var("x"), Atom("a"))
+    assert not check_derivation(ba, d)
+    assert derivation_error(ba, d) == ()
+    d = make_derivation("Ax", {"z": Atom("b"), "x": Atom("a")}, Var("x"), Atom("a"))
+    assert check_derivation(ba, d)
+
+
+def _redex_chain(n):
+    # (\x1. ... \xn. z) y ... y, built with the constructors
+    m = Var("z")
+    for i in range(n, 0, -1):
+        m = Lam(f"x{i}", m)
+    for _ in range(n):
+        m = App(m, Var("y"))
+    return m
+
+
+def test_redex_chain_is_derived(ba):
+    n = 150
+    ctx = {"z": Atom("a"), "y": Atom("b")}
+    v, d = derives(ba, ctx, _redex_chain(n), Atom("a"), SearchBudget(6, n + 8))
+    assert v is Verdict.YES
+    assert check_derivation(ba, d)
+
+
+@pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
+def test_doubled_type_in_the_context_and_the_target(all_theories, name):
+    spec = all_theories[name]
+    a = t = Atom("a")
+    for _ in range(60):
+        t = Inter(t, t)
+    # a failed assertion on d would print the doubled type in full
+    for ctx, target in [({"x": t}, a), ({"x": a}, t)]:
+        v, d = derives(spec, ctx, Var("x"), target)
+        error = derivation_error(spec, d) if d else "no derivation"
+        assert (v, error) == (Verdict.YES, None)

@@ -26,7 +26,15 @@ from itypes.subtype import (
     normalize,
     proof_to_json,
 )
-from itypes.syntax import Arrow, Atom, Inter, conjuncts, parse_type as P, print_type
+from itypes.syntax import (
+    Arrow,
+    Atom,
+    Inter,
+    conjuncts,
+    parse_type as P,
+    print_type,
+    type_atoms,
+)
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
 
 
@@ -492,3 +500,34 @@ def test_dropped_theory_is_freed():
 
 def test_oracle_finds_nu_top(ehr):
     assert leq_oracle(ehr, P("a -> b"), P("nu"), 5) is OracleResult.YES
+
+
+# ---------------------------------------------------------------- shared intersection nodes
+
+
+def _doubled(t, k=60):
+    for _ in range(k):
+        t = Inter(t, t)
+    return t
+
+
+@pytest.mark.parametrize("name", ["ba", "ehr", "ao", "bcd"])
+def test_doubled_type_is_walked_once_per_node(all_theories, name):
+    # 2**60 paths to a leaf, 61 distinct nodes.  Each check is named, since
+    # a failed assertion on the type itself would print all of its paths.
+    spec = all_theories[name]
+    a, arrow = P("a"), P("a -> b")
+    t, u = _doubled(a), _doubled(arrow)
+    heads = tuple(h.arrow for h in _head_proofs(spec, u))
+    checks = {
+        "t <= a": leq(spec, t, a),
+        "not t <= b": not leq(spec, t, P("b")),
+        "normalize": normalize(spec, t) == (a,),
+        "trace of t <= a": check_proof(spec, leq_trace(spec, t, a)),
+        "trace of u <= a -> b": check_proof(spec, leq_trace(spec, u, arrow)),
+        "head proofs": heads == arrow_heads(spec, u),
+        "type_atoms": type_atoms(t) == {"a"},
+        # a repeated leaf stays, a repeated intersection node is expanded once
+        "conjuncts": conjuncts(t) == [a, a],
+    }
+    assert [check for check, ok in checks.items() if not ok] == []
