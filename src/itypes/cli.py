@@ -177,19 +177,21 @@ def _cmd_laws(args, spec, budget) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each command takes only the options it reads: all take the theory and
+    # output options, and only the commands that search take a budget
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theory", default="bcd", help="ba|ehr|ao|bcd or file:PATH")
     common.add_argument("--atoms", type=int, default=3, help="fresh atom count")
-    common.add_argument(
+    common.add_argument("--output", choices=("text", "json"), default="text")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument(
         "--budget-size", type=int, default=6,
         help="ignored; accepted for compatibility",
     )
-    common.add_argument(
+    search.add_argument(
         "--budget-depth", type=int, default=64,
         help="deepest nesting of search steps; each contraction takes one",
     )
-    common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="itypes",
@@ -197,27 +199,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sub_parser(name, help):
-        return sub.add_parser(name, help=help, parents=[common])
+    def sub_parser(name, help, *parents):
+        return sub.add_parser(name, help=help, parents=[common, *parents])
 
     p = sub_parser("leq", "decide a subtyping judgment")
     p.add_argument("lhs")
     p.add_argument("rhs")
     p.set_defaults(func=_cmd_leq)
 
-    p = sub_parser("check", "search for a typing derivation")
+    p = sub_parser("check", "search for a typing derivation", search)
     p.add_argument("ctx", help="comma-separated var:type entries (may be empty)")
     p.add_argument("term")
     p.add_argument("type")
     p.set_defaults(func=_cmd_check)
 
-    p = sub_parser("infer", "enumerate derivable types up to a size")
+    p = sub_parser("infer", "enumerate derivable types up to a size", search)
     p.add_argument("ctx")
     p.add_argument("term")
     p.add_argument("--size", type=int, default=4)
     p.set_defaults(func=_cmd_infer)
 
-    p = sub_parser("interp", "filter-structure interpretation membership")
+    p = sub_parser("interp", "filter-structure interpretation membership", search)
     p.add_argument("env", help="comma-separated var=type entries (may be empty)")
     p.add_argument("term")
     p.add_argument("type")
@@ -228,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub_parser("laws", "run the property-law suites")
     p.add_argument("--size", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_laws)
     return parser
 
@@ -236,7 +239,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _resolve_theory(args.theory, args.atoms)
-        budget = SearchBudget(args.budget_size, args.budget_depth)
+        budget = (
+            SearchBudget(args.budget_size, args.budget_depth)
+            if "budget_depth" in args else None
+        )
         return args.func(args, spec, budget)
     except (ItypesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .assign import SearchBudget, Verdict, derives
 from .errors import EmptyEnvFilter
-from .subtype import arrow_heads, canonical, leq
+from .subtype import _select, canonical, leq
 from .syntax import Arrow, Term, Type, free_vars, inter_of
 from .theory import TheorySpec
 
@@ -31,43 +31,40 @@ def up(*generators: Type) -> FiniteFilter:
     return FiniteFilter(inter_of(list(generators)))
 
 
+def _generator(spec: TheorySpec, x: FiniteFilter) -> Type | None:
+    """A type that generates x: omega for the filter of the empty set in a
+    theory with omega, and None where that filter is empty."""
+    return spec.omega if x.generator is None else x.generator
+
+
 def member(spec: TheorySpec, x: FiniteFilter, a: Type) -> bool:
-    if x.generator is None:
-        return spec.has_omega and leq(spec, spec.omega, a)
-    return leq(spec, x.generator, a)
+    g = _generator(spec, x)
+    return g is not None and leq(spec, g, a)
 
 
 def filter_leq(spec: TheorySpec, x: FiniteFilter, y: FiniteFilter) -> bool:
     """Subset order on filters: every member of x is a member of y."""
-    if x.generator is None:
-        return True if not spec.has_omega else member(spec, y, spec.omega)
-    return member(spec, y, x.generator)
+    g = _generator(spec, x)
+    return g is None or member(spec, y, g)
 
 
 def apply(spec: TheorySpec, x: FiniteFilter, y: FiniteFilter) -> FiniteFilter:
-    """Filter application: the filter of all B with A -> B in x for some A in y."""
-    gen = x.generator
-    if gen is None:
-        if not spec.has_omega:
-            return FiniteFilter(None)
-        gen = spec.omega
-    cods = [h.cod for h in arrow_heads(spec, gen) if member(spec, y, h.dom)]
-    if not cods:
-        return FiniteFilter(None)
-    return FiniteFilter(canonical(spec, inter_of(cods)))
+    """Filter application: the filter of all B with A -> B in x for some A in
+    y, which is ``leq``'s head selection (``_select``) on their generators."""
+    a, c = _generator(spec, x), _generator(spec, y)
+    cod = None if a is None or c is None else _select(spec, a, c)
+    return FiniteFilter(None if cod is None else canonical(spec, cod))
 
 
 def make_abstraction_filter(spec: TheorySpec, table) -> FiniteFilter:
-    """The filter of a finite step function: all arrows A -> B from the table,
-    together with nu when present (every abstraction has type nu)."""
+    """The filter of a finite step function: the table's arrows A -> B, and
+    nu and omega -> omega where the theory has them, as every abstraction has."""
     parts: list[Type] = [Arrow(a, b) for a, b in table]
     if spec.has_nu:
         parts.append(spec.nu)
-    if not parts:
-        if spec.omega_eta:
-            return FiniteFilter(spec.omega_arrow)
-        return FiniteFilter(None)
-    return FiniteFilter(canonical(spec, inter_of(parts)))
+    if spec.has_omega:
+        parts.append(spec.omega_arrow)
+    return FiniteFilter(canonical(spec, inter_of(parts)) if parts else None)
 
 
 def phi_membership(spec: TheorySpec, x: FiniteFilter) -> bool:
@@ -91,12 +88,9 @@ def interpret_member(
     under env; equivalently, whether the generator basis derives m : a."""
     ctx: dict[str, Type] = {}
     for x in sorted(free_vars(m)):
-        f = env.get(x, FiniteFilter(None))
-        if f.generator is not None:
-            ctx[x] = f.generator
-        elif spec.has_omega:
-            ctx[x] = spec.omega
-        else:
+        g = _generator(spec, env.get(x, FiniteFilter(None)))
+        if g is None:
             raise EmptyEnvFilter(f"variable {x!r} is bound to the empty filter")
+        ctx[x] = g
     v, _ = derives(spec, ctx, m, a, budget)
     return v

@@ -253,13 +253,26 @@ def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
     return heads
 
 
+def _select(spec: TheorySpec, a: Type, c: Type) -> Type | None:
+    """The beta-soundness step: the meet of the codomains of a's arrow heads
+    whose domain c lies below, or None.  The only reader and writer of the
+    theory's selection slot, which keeps the last selection; the slot is set
+    after the subgoals, which may set it too."""
+    tables = spec.tables
+    last = tables.selection
+    if last is not None and last[0] is a and last[1] is c:
+        return last[2]
+    cods = [h.cod for h in arrow_heads(spec, a) if leq(spec, c, h.dom)]
+    cod = inter_of(cods) if cods else None
+    tables.selection = (a, c, cod)
+    return cod
+
+
 def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     """Decide a <= b without building a proof; the case split is the one
     ``_build`` follows.  The meet is a greatest lower bound, so an
     intersection target is decided from its parts and not memoised; the
-    decisions on atom and arrow targets are memoised in the theory's tables.
-    An arrow target reuses the last head selection when its left type and
-    domain are the last ones selected for."""
+    decisions on atom and arrow targets are memoised in the theory's tables."""
     tables = spec.tables  # before the shortcut: an invalid spec raises here
     if a is b:
         return True
@@ -293,22 +306,13 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
             rhs = spec.equations.get(b.name)
             ok = rhs is not None and leq(spec, a, rhs)
     else:
-        c, d = b.dom, b.cod
-        heads = arrow_heads(spec, a)
         # omega-eta and omega-lazy hold only with omega
-        if (spec.omega_eta or (spec.omega_lazy and heads)) and leq(spec, spec.omega, d):
+        lazy = spec.omega_lazy and arrow_heads(spec, a)
+        if (spec.omega_eta or lazy) and leq(spec, spec.omega, b.cod):
             ok = True
         else:
-            # beta-soundness step: take every head whose domain absorbs c;
-            # the slot is set after the subgoals, which may set it too
-            last = tables.selection
-            if last is not None and last[0] is a and last[1] is c:
-                cod = last[2]
-            else:
-                cods = [h.cod for h in heads if leq(spec, c, h.dom)]
-                cod = inter_of(cods) if cods else None
-                tables.selection = (a, c, cod)
-            ok = cod is not None and leq(spec, cod, d)
+            cod = _select(spec, a, b.dom)
+            ok = cod is not None and leq(spec, cod, b.cod)
     # one row per left type; the cap counts decisions over all rows, and a
     # subgoal may have cleared the memo, so the row is looked up again
     memo = tables.leq

@@ -68,8 +68,8 @@ class _Node:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # the text of the printers, which keep an explicit stack: Arrow('a -> b')
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 # ---------------------------------------------------------------- types

@@ -62,10 +62,10 @@ class TheoryTables:
     ``leq`` maps a left type ``a`` to its row, a dict from an atom or arrow
     ``b`` to the decision of ``a <= b`` (an intersection target is decided
     from its parts), and ``leq_size`` counts the decisions over all rows,
-    which ``TABLE_CAP`` bounds; ``selection`` is the last head selection of
-    an arrow target, ``(a, c, meet of the codomains of the heads of a whose
-    domain c lies below, or None)``, so that arrow targets with the same
-    ``a`` and domain ``c`` select once; ``heads`` maps a type to its arrow
+    which ``TABLE_CAP`` bounds; ``selection`` is the last head selection,
+    ``(a, c, meet of the codomains of the heads of a whose domain c lies
+    below, or None)``, so that arrow targets and filter applications with
+    the same ``a`` and ``c`` select once; ``heads`` maps a type to its arrow
     heads, and ``head_proofs`` to those heads with their proofs; ``canon``
     maps a type to its canonical conjuncts; ``in_theory`` holds the types
     whose atoms the search has found in the theory.  Types are hash-consed,

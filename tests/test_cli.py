@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import itypes
-from itypes.cli import main
+from itypes.cli import build_parser, main
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory, spec_to_json
 from test_theory import chain_spec
 
@@ -318,6 +318,49 @@ def test_laws_json_schema(capsys):
     assert code == 0
     data = json.loads(out)
     assert all({"name", "checked", "ok", "failures"} == set(r) for r in data["results"])
+
+
+# ---------------------------------------------------------------- options
+
+_COMMON = {"--theory", "--atoms", "--output"}
+_BUDGET = {"--budget-size", "--budget-depth"}
+_READS = {
+    "leq": _COMMON,
+    "check": _COMMON | _BUDGET,
+    "infer": _COMMON | _BUDGET | {"--size"},
+    "interp": _COMMON | _BUDGET,
+    "classify": _COMMON,
+    "laws": _COMMON | {"--size", "--seed"},
+}
+_POSITIONALS = {
+    "leq": ["a", "a"],
+    "check": ["", r"\x. x", "a -> a"],
+    "infer": ["", r"\x. x"],
+    "interp": ["", r"\x. x", "a -> a"],
+    "classify": [],
+    "laws": [],
+}
+_VALUES = {"--theory": "ba", "--atoms": "2", "--output": "json",
+           "--budget-size": "3", "--budget-depth": "3", "--seed": "5", "--size": "2"}
+
+
+def test_commands_take_27_options():
+    assert sum(map(len, _READS.values())) == 27
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+@pytest.mark.parametrize("option", sorted(_VALUES))
+def test_each_command_takes_only_the_options_it_reads(capsys, command, option):
+    value = _VALUES[option]
+    argv = [command, *_POSITIONALS[command], option, value]
+    if option in _READS[command]:
+        args = build_parser().parse_args(argv)
+        assert str(getattr(args, option[2:].replace("-", "_"))) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_laws_skip_fun_phi_where_neither_strict_nor_natural(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from itypes.assign import SearchBudget, Verdict
+from itypes.assign import SearchBudget, Verdict, derives
 from itypes.errors import EmptyEnvFilter
 from itypes.filters import (
     FiniteFilter,
@@ -13,8 +15,10 @@ from itypes.filters import (
     up,
 )
 from itypes.laws import filter_laws
-from itypes.subtype import eq
-from itypes.syntax import Arrow, parse_term as T, parse_type as P
+from itypes.subtype import arrow_heads, canonical, canonical_types, eq, leq
+from itypes.syntax import Arrow, inter_of, parse_term as T, parse_type as P
+
+from test_generated_theories import SPECS, generated_spec
 
 EMPTY = FiniteFilter(None)
 
@@ -82,6 +86,52 @@ def test_apply_uses_domain_weakening(ehr):
     assert eq(ehr, r.generator, P("b"))
 
 
+# member, filter_leq and apply written out directly, each with its own head
+# selection and its own case for the filter of the empty set: the reference
+# that the library's versions must agree with, generator for generator.
+
+
+def _member_ref(spec, x, a):
+    if x.generator is None:
+        return spec.has_omega and leq(spec, spec.omega, a)
+    return leq(spec, x.generator, a)
+
+
+def _filter_leq_ref(spec, x, y):
+    if x.generator is None:
+        return True if not spec.has_omega else _member_ref(spec, y, spec.omega)
+    return _member_ref(spec, y, x.generator)
+
+
+def _apply_ref(spec, x, y):
+    gen = x.generator
+    if gen is None:
+        if not spec.has_omega:
+            return FiniteFilter(None)
+        gen = spec.omega
+    cods = [h.cod for h in arrow_heads(spec, gen) if _member_ref(spec, y, h.dom)]
+    if not cods:
+        return FiniteFilter(None)
+    return FiniteFilter(canonical(spec, inter_of(cods)))
+
+
+@pytest.mark.parametrize("theory", ["ba", "ehr", "ao", "bcd", *range(len(SPECS))])
+def test_filter_operations_agree_with_the_reference(all_theories, theory):
+    spec = all_theories[theory] if isinstance(theory, str) else SPECS[theory]
+    pool = canonical_types(spec, spec.universe_atoms(spec.plain_atoms[:2]), 4)
+    filters = [EMPTY] + [up(t) for t in pool]
+    for x in filters:
+        for y in filters:
+            # the reference first, then the present code, then the reference
+            # again: each runs with the selection slot the other left
+            want = _apply_ref(spec, x, y).generator
+            assert apply(spec, x, y).generator is want
+            assert _apply_ref(spec, x, y).generator is want
+            assert filter_leq(spec, x, y) == _filter_leq_ref(spec, x, y)
+        for t in pool:
+            assert member(spec, x, t) == _member_ref(spec, x, t)
+
+
 # ---------------------------------------------------------------- prop simple
 
 
@@ -122,6 +172,35 @@ def test_abstraction_filter_empty_table(ba, ehr, bcd):
     assert make_abstraction_filter(ba, []).generator is None
     assert eq(ehr, make_abstraction_filter(ehr, []).generator, P("nu"))
     assert eq(bcd, make_abstraction_filter(bcd, []).generator, P("omega"))
+
+
+@pytest.mark.parametrize("theory", ["ao", "bcd"])
+def test_abstraction_filter_holds_omega_arrow(all_theories, theory):
+    # every filter holds omega, so a step function's filter holds A -> omega
+    # for every A, and so omega -> omega, as the search derives for any
+    # abstraction, even one whose body has no normal form
+    spec = all_theories[theory]
+    oo = spec.omega_arrow
+    assert derives(spec, {}, T(r"\x. (\y. y y) (\y. y y)"), oo)[0] is Verdict.YES
+    for table in ([], [(P("a"), P("b"))], [(P("a"), P("b")), (P("b"), P("a"))]):
+        f = make_abstraction_filter(spec, table)
+        assert member(spec, f, oo)
+        assert phi_membership(spec, f)
+        for a, b in table:
+            assert member(spec, f, Arrow(a, b))
+
+
+def test_abstraction_filter_holds_omega_arrow_in_generated_theories():
+    a = P("a")
+    for seed in range(200):
+        spec = generated_spec(random.Random(seed))
+        empty = make_abstraction_filter(spec, [])
+        if spec.has_omega:
+            assert member(spec, empty, spec.omega_arrow), seed
+            one = make_abstraction_filter(spec, [(a, a)])
+            assert member(spec, one, spec.omega_arrow), seed
+        if spec.has_nu or spec.omega_eta or spec.omega_lazy:
+            assert phi_membership(spec, empty), seed
 
 
 def test_abstraction_then_apply_recovers_table(bcd):

@@ -26,7 +26,7 @@ from itypes.syntax import (
     substitute,
     type_atoms,
 )
-from itypes.theory import NamedTheory, named_theory
+from itypes.theory import BA_RULES, NamedTheory, make_spec, named_theory
 from test_search_corpus import _workloads
 
 # ---------------------------------------------------------------- nodes
@@ -473,3 +473,25 @@ def test_substitution_on_deep_body():
         depth += 1
     assert depth == 5000
     assert got == Var("y0")
+
+
+def test_repr_of_a_deep_type_term_and_spec():
+    # repr is built from the printers, so no depth raises RecursionError
+    a = Atom("a")
+    t = a
+    for _ in range(3000):
+        t = Arrow(a, t)
+    assert len(str(t)) == 15001
+    assert repr(t) == f"Arrow({str(t)!r})"
+    m = Var("x")
+    for _ in range(3000):
+        m = Lam("x", m)
+    assert len(str(m)) == 12001
+    assert repr(m) == f"Lam({str(m)!r})"
+    b = Atom("b")
+    rhs = b
+    for _ in range(1200):
+        rhs = Arrow(b, rhs)
+    spec = make_spec({"a", "b"}, BA_RULES, {"a": rhs})
+    assert f"(('a', Arrow({str(rhs)!r})),)" in repr(spec)
+    assert repr(a) == "Atom('a')" and repr(Inter(a, b)) == "Inter('a & b')"
