@@ -69,12 +69,12 @@ def _eta(pdom, pcod):
     return Proof("eta", Arrow(pdom.rhs, pcod.lhs), Arrow(pdom.lhs, pcod.rhs), (pdom, pcod))
 
 
-def _axiom_ok(spec: TheorySpec, special, rule, lhs, rhs) -> bool:
+def _axiom_ok(spec: TheorySpec, rules, rule, lhs, rhs) -> bool:
     """Whether ``lhs <= rhs`` is an instance of the premise-free ``rule``;
-    ``special`` names the special rules of the theory."""
+    ``rules`` are the special rules of the theory."""
     match rule:
         case "omega-top":
-            return "omega-top" in special and rhs is spec.omega
+            return "omega-top" in rules and rhs is spec.omega
         case "refl":
             return lhs == rhs
         case "idem":
@@ -85,23 +85,23 @@ def _axiom_ok(spec: TheorySpec, special, rule, lhs, rhs) -> bool:
             return isinstance(lhs, Inter) and lhs.right == rhs
         case "omega-eta":
             return (
-                "omega-eta" in special and lhs is spec.omega
+                "omega-eta" in rules and lhs is spec.omega
                 and rhs is spec.omega_arrow
             )
         case "omega-lazy":
             return (
-                "omega-lazy" in special and isinstance(lhs, Arrow)
+                "omega-lazy" in rules and isinstance(lhs, Arrow)
                 and rhs is spec.omega_arrow
             )
         case "arrow-inter":
-            if "arrow-inter" not in special:
+            if "arrow-inter" not in rules:
                 return False
             match lhs, rhs:
                 case Inter(Arrow(a1, b), Arrow(a2, c)), Arrow(a3, Inter(b2, c2)):
                     return a1 == a2 == a3 and b == b2 and c == c2
             return False
         case "nu-top":
-            return "nu-top" in special and isinstance(lhs, Arrow) and rhs is spec.nu
+            return "nu-top" in rules and isinstance(lhs, Arrow) and rhs is spec.nu
         case "eq-unfold":
             return isinstance(lhs, Atom) and spec.equations.get(lhs.name) is rhs
         case "eq-fold":
@@ -113,14 +113,14 @@ def check_proof(spec: TheorySpec, p: Proof) -> bool:
     """Verify that every node is a correct instance of a primitive rule the
     theory has.  The walk keeps an explicit stack, so a proof's depth is
     bounded only by memory, and checks a node that premises share once."""
-    special = spec.rule_names
+    rules = spec.rules
     seen = set()  # the ids of the nodes with premises checked so far
     todo = [p]
     while todo:
         node = todo.pop()
         rule, lhs, rhs, premises = node
         if not premises:
-            if not _axiom_ok(spec, special, rule, lhs, rhs):
+            if not _axiom_ok(spec, rules, rule, lhs, rhs):
                 return False
             continue
         if id(node) in seen:
@@ -141,7 +141,7 @@ def check_proof(spec: TheorySpec, p: Proof) -> bool:
         elif rule == "eta":
             # contravariant in the domain: q proves rhs.dom <= lhs.dom
             ok = (
-                "eta" in special and isinstance(lhs, Arrow) and isinstance(rhs, Arrow)
+                "eta" in rules and isinstance(lhs, Arrow) and isinstance(rhs, Arrow)
                 and q.lhs == rhs.dom and q.rhs == lhs.dom
                 and r.lhs == lhs.cod and r.rhs == rhs.cod
             )
@@ -269,10 +269,11 @@ def _select(spec: TheorySpec, a: Type, c: Type) -> Type | None:
 
 
 def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
-    """Decide a <= b without building a proof; the case split is the one
-    ``_build`` follows.  The meet is a greatest lower bound, so an
-    intersection target is decided from its parts and not memoised; the
-    decisions on atom and arrow targets are memoised in the theory's tables."""
+    """Decide a <= b without building a proof.  The meet is a greatest lower
+    bound, so an intersection target is decided from its parts and not
+    memoised, and an arrow target by head selection alone; ``_build`` adds
+    one branch there, the omega -> omega proof shape the trace golden pins.
+    Atom and arrow decisions are memoised in the theory's tables."""
     tables = spec.tables  # before the shortcut: an invalid spec raises here
     if a is b:
         return True
@@ -306,13 +307,8 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
             rhs = spec.equations.get(b.name)
             ok = rhs is not None and leq(spec, a, rhs)
     else:
-        # omega-eta and omega-lazy hold only with omega
-        lazy = spec.omega_lazy and arrow_heads(spec, a)
-        if (spec.omega_eta or lazy) and leq(spec, spec.omega, b.cod):
-            ok = True
-        else:
-            cod = _select(spec, a, b.dom)
-            ok = cod is not None and leq(spec, cod, b.cod)
+        cod = _select(spec, a, b.dom)
+        ok = cod is not None and leq(spec, cod, b.cod)
     # one row per left type; the cap counts decisions over all rows, and a
     # subgoal may have cleared the memo, so the row is looked up again
     memo = tables.leq
@@ -368,9 +364,9 @@ def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
 
 
 def _build(spec: TheorySpec, a: Type, b: Type, memo: dict) -> Proof:
-    """The proof trace of a <= b, which ``leq`` must have accepted.  The
-    decision picks the branch, so no refuted subgoal is ever proved; ``memo``
-    shares subproofs within one trace."""
+    """The proof trace of a <= b, which ``leq`` must have accepted: ``leq``'s
+    cases plus one branch, the omega -> omega proof shape the trace golden
+    pins.  No refuted subgoal is ever proved; ``memo`` shares subproofs."""
     if a is b:
         return _refl(a)
     key = (a, b)

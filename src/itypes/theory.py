@@ -27,7 +27,9 @@ from .syntax import (
 )
 
 
-class Rule(enum.Enum):
+class Rule(str, enum.Enum):
+    # a member equals its value, the rule's name in proof nodes; write it as
+    # text by its value, as format() of a member changed in Python 3.12
     OMEGA_TOP = "omega-top"
     NU_TOP = "nu-top"
     OMEGA_ETA = "omega-eta"
@@ -185,12 +187,6 @@ class TheorySpec:
         if self.violations:
             names = ", ".join(v.value for v in self.violations)
             raise UnsupportedTheory(f"invalid theory spec: {names}")
-
-    @cached_property
-    def rule_names(self) -> frozenset[str]:
-        """The values of ``rules``, as proof traces name the rules.  Testing
-        a string avoids the Python-level ``Enum.__hash__``."""
-        return frozenset(r.value for r in self.rules)
 
     @cached_property
     def _relations(self) -> dict:

@@ -310,6 +310,12 @@ def test_laws_all_pass(capsys):
     assert "FAIL" not in out
 
 
+def test_laws_in_a_theory_with_no_types(capsys):
+    code, out, _ = run(capsys, "laws", "--theory", "ba", "--atoms", "0", "--size", "2")
+    assert code == 0
+    assert "FAIL" not in out and "spine-filter: ok (0 checked)" in out
+
+
 def test_laws_json_schema(capsys):
     code, out, _ = run(
         capsys,

@@ -66,3 +66,13 @@ def test_every_law_suite_can_fail(monkeypatch, name, wrong, suite, failing):
     monkeypatch.setattr(laws, name, wrong(getattr(laws, name)))
     failed = {r.name for r in run() if r.failures}
     assert failing <= failed
+
+
+def test_every_law_checks_nothing_in_a_theory_with_no_types():
+    # ba with no atoms has an empty universe: every law is ok with 0 checked
+    spec = named_theory(NamedTheory.BA, 0)
+    results = laws.run_all(spec, frozenset(), 2, 0)
+    assert {r.name for r in results} >= {
+        "search-soundness", "spine-filter", "subject-reduction", "admissible-rules"}
+    assert all(r.ok and r.checked == 0 for r in results)
+    assert laws.random_judgments(spec, frozenset(), 0, 25) == []

@@ -35,7 +35,14 @@ from itypes.syntax import (
     print_type,
     type_atoms,
 )
-from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory
+from itypes.theory import (
+    BA_RULES,
+    NamedTheory,
+    Rule,
+    make_spec,
+    named_theory,
+    spec_from_json,
+)
 
 
 # ---------------------------------------------------------------- golden table
@@ -62,6 +69,41 @@ def test_ehr_arrows_below_nu(ehr):
 def test_ba_distinct_atoms_unrelated(ba):
     assert not leq(ba, P("a"), P("b"))
     assert not leq(ba, P("b"), P("a"))
+
+
+# the omega-lazy theory with a = b -> b, as CI's eq.json writes it
+_LAZY_EQ = {
+    "atoms": ["a", "b"], "omega": True,
+    "rules": ["arrow-inter", "eta", "omega-lazy", "omega-top"],
+    "equations": {"a": "b -> b"},
+}
+
+
+@pytest.mark.parametrize(
+    "theory, lhs, rhs, want",
+    [
+        ("ao", "a -> b", "c -> omega", True),
+        ("ao", "a", "c -> omega", False),
+        ("ao", "a -> b", "c -> omega -> omega", False),
+        ("ao", "omega", "a -> omega", False),
+        ("bcd", "a", "b -> omega -> omega", True),
+        ("bcd", "omega", "a -> omega", True),
+        ("eq", "a", "a -> omega", True),
+        ("eq", "b", "a -> omega", False),
+    ],
+)
+def test_arrow_target_with_an_omega_codomain(theory, lhs, rhs, want):
+    # omega -> omega decides these only as an arrow head of the left side
+    if theory == "eq":
+        spec = spec_from_json(_LAZY_EQ)
+    else:
+        spec = named_theory(NamedTheory(theory), 3)
+    a, b = P(lhs, spec), P(rhs, spec)
+    assert leq(spec, a, b) is want
+    p = leq_trace(spec, a, b)
+    assert (p is not None) is want
+    if want:
+        assert p.lhs is a and p.rhs is b and check_proof(spec, p)
 
 
 # ---------------------------------------------------------------- structure

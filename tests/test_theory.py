@@ -189,6 +189,19 @@ def test_json_of_named_theories(all_theories):
     ]
 
 
+def test_rules_equal_the_names_that_proofs_carry(all_theories):
+    assert Rule.ETA == "eta" and Rule.OMEGA_LAZY == "omega-lazy"
+    assert all(r == r.value for r in Rule)
+    assert "eta" in all_theories["ba"].rules
+    assert "omega-eta" in all_theories["bcd"].rules
+    assert "omega-eta" not in all_theories["ao"].rules
+    spec = make_spec({"a"}, BA_RULES, name="s")
+    assert json.dumps(spec_to_json(spec)) == (
+        '{"name": "s", "atoms": ["a"], "omega": false, "nu": false, '
+        '"rules": ["arrow-inter", "eta"], "equations": {}}'
+    )
+
+
 @pytest.mark.parametrize(
     "data, field",
     [
