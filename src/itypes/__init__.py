@@ -15,6 +15,7 @@ _EXPORTS = {
         "ResourceLimit",
         "UnknownAtomError",
         "UnsupportedTheory",
+        "Verdict",
     ),
     "syntax": (
         "App",
@@ -59,7 +60,6 @@ _EXPORTS = {
     "assign": (
         "Derivation",
         "SearchBudget",
-        "Verdict",
         "check_derivation",
         "derivation_from_json",
         "derivation_to_json",
@@ -83,18 +83,30 @@ _EXPORTS = {
         "is_natural",
         "is_strict",
     ),
-    "laws": ("hindley_rule_check",),
+    "search_laws": ("hindley_rule_check",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+def _lazy(namespace: dict, homes: dict):
+    """A module ``__getattr__`` for the module whose globals are namespace.
+    It imports each name of homes, a map from an itypes module to names,
+    from that module on first use, and keeps it in namespace, so that later
+    lookups, and a wrapper set on the module, skip this function."""
+    home = {name: module for module, names in homes.items() for name in names}
+
+    def __getattr__(name):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _EXPORTS)
 
 
 def __dir__():

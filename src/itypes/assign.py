@@ -15,11 +15,10 @@ by exact refutations.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left
 from collections import namedtuple
 
-from .errors import ResourceLimit, UnknownAtomError
+from .errors import ResourceLimit, UnknownAtomError, Verdict
 from .syntax import (
     App,
     Arrow,
@@ -51,12 +50,6 @@ from .subtype import (
 from .theory import TABLE_CAP, TheorySpec
 
 Basis = dict[str, Type]
-
-
-class Verdict(enum.Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
 
 
 class SearchBudget(namedtuple("SearchBudget", "max_candidate_type_size max_depth")):

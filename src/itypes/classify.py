@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .assign import Verdict
-# leq is unused here, but perfbench/tracing.py wraps itypes.classify.leq
-from .subtype import leq
+from . import _lazy
+from .errors import Verdict
 from .syntax import Arrow, Atom, Type, conjuncts
 from .theory import TheorySpec, validates_ba
+
+# perfbench/tracing.py wraps itypes.classify.leq, which nothing here calls;
+# it loads on first use, so classify loads no subtype of its own
+__getattr__ = _lazy(globals(), {"subtype": ("leq",)})
 
 
 def is_strict(spec: TheorySpec) -> bool:

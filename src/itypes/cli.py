@@ -12,21 +12,26 @@ import json
 import os
 import sys
 
-from .assign import (
-    SearchBudget,
-    Verdict,
-    derivation_to_json,
-    derives,
-    infer_types,
-)
-from .classify import adequacy_report
-from .errors import ItypesError, ResourceLimit
-from .filters import FiniteFilter, interpret_member
-from .subtype import leq, leq_trace, proof_to_json
+from . import _lazy
+from .errors import ItypesError, ResourceLimit, Verdict
 from .syntax import Var, parse_term, parse_type, print_type
 from .theory import NamedTheory, load_spec, named_theory
 
 _VERDICT_EXIT = {Verdict.YES: 0, Verdict.NO: 1, Verdict.UNKNOWN: 3}
+
+# The names that the commands load a module for, by that module.  Each
+# loads on first use (PEP 562), so a command loads only the modules it
+# runs: ``itypes leq`` loads subtype and never the search.  The commands
+# call them as attributes of this module (``_cli.leq``), so that a wrapper
+# set on the module, as a traced benchmark run sets, is what runs.
+__getattr__ = _lazy(globals(), {
+    "subtype": ("leq", "leq_trace", "proof_to_json"),
+    "assign": ("SearchBudget", "derivation_to_json", "derives", "infer_types"),
+    "filters": ("FiniteFilter", "interpret_member"),
+    "classify": ("adequacy_report",),
+    "laws": ("run_all",),
+})
+_cli = sys.modules[__name__]
 
 
 def _resolve_theory(name: str, extra_atoms: int):
@@ -96,15 +101,15 @@ def _cmd_leq(args, spec, budget) -> int:
     a = parse_type(args.lhs, spec)
     b = parse_type(args.rhs, spec)
     if args.output == "json":
-        trace = leq_trace(spec, a, b)
+        trace = _cli.leq_trace(spec, a, b)
         ok = trace is not None
     else:  # text mode only decides
-        trace, ok = None, leq(spec, a, b)
+        trace, ok = None, _cli.leq(spec, a, b)
 
     def payload():
         out = {"result": ok}
         if trace is not None:
-            out["trace"] = proof_to_json(trace)
+            out["trace"] = _cli.proof_to_json(trace)
         return out
 
     _emit(args, "true" if ok else "false", payload)
@@ -115,12 +120,12 @@ def _cmd_check(args, spec, budget) -> int:
     ctx = _parse_bindings(spec, args.ctx, ":", "context")
     m = parse_term(args.term)
     a = parse_type(args.type, spec)
-    v, d = derives(spec, ctx, m, a, budget)
+    v, d = _cli.derives(spec, ctx, m, a, budget)
 
     def payload():
         out = {"verdict": v.value}
         if d is not None:
-            out["derivation"] = derivation_to_json(d)
+            out["derivation"] = _cli.derivation_to_json(d)
         return out
 
     _emit(args, v.value, payload)
@@ -131,7 +136,7 @@ def _cmd_infer(args, spec, budget) -> int:
     ctx = _parse_bindings(spec, args.ctx, ":", "context")
     m = parse_term(args.term)
     found = sorted(
-        infer_types(spec, ctx, m, _size(args), spec.atoms, budget),
+        _cli.infer_types(spec, ctx, m, _size(args), spec.atoms, budget),
         key=print_type,
     )
     lines = [print_type(t) for t in found]
@@ -141,18 +146,18 @@ def _cmd_infer(args, spec, budget) -> int:
 
 def _cmd_interp(args, spec, budget) -> int:
     env = {
-        x: FiniteFilter(t)
+        x: _cli.FiniteFilter(t)
         for x, t in _parse_bindings(spec, args.env, "=", "env").items()
     }
     m = parse_term(args.term)
     a = parse_type(args.type, spec)
-    v = interpret_member(spec, m, env, a, budget)
+    v = _cli.interpret_member(spec, m, env, a, budget)
     _emit(args, v.value, lambda: {"verdict": v.value})
     return _VERDICT_EXIT[v]
 
 
 def _cmd_classify(args, spec, budget) -> int:
-    report = adequacy_report(spec)
+    report = _cli.adequacy_report(spec)
     payload = report.to_json()
     lines = [f"{k}: {v}" for k, v in payload.items() if k != "notes"]
     lines += [f"note: {n}" for n in report.notes]
@@ -161,10 +166,8 @@ def _cmd_classify(args, spec, budget) -> int:
 
 
 def _cmd_laws(args, spec, budget) -> int:
-    from .laws import run_all  # only this command pays for importing the laws
-
     atoms = frozenset(spec.plain_atoms[:2])
-    results = run_all(spec, atoms, _size(args), args.seed)
+    results = _cli.run_all(spec, atoms, _size(args), args.seed)
     # a skipped law checks nothing, so only the applicable ones can fail
     failed = [r for r in results if not r.ok]
     lines = [
@@ -240,7 +243,7 @@ def main(argv=None) -> int:
     try:
         spec = _resolve_theory(args.theory, args.atoms)
         budget = (
-            SearchBudget(args.budget_size, args.budget_depth)
+            _cli.SearchBudget(args.budget_size, args.budget_depth)
             if "budget_depth" in args else None
         )
         return args.func(args, spec, budget)

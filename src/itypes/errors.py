@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types and the three-valued verdict, shared across the package."""
+
+import enum
+
+
+class Verdict(enum.Enum):
+    YES = "yes"
+    NO = "no"
+    UNKNOWN = "unknown"
 
 
 class ItypesError(Exception):

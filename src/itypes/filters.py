@@ -8,13 +8,21 @@ single generator or the closure of the empty set (which is the whole of
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
-from .assign import SearchBudget, Verdict, derives
-from .errors import EmptyEnvFilter
+from . import _lazy
+from .errors import EmptyEnvFilter, Verdict
 from .subtype import _select, canonical, leq
 from .syntax import Arrow, Term, Type, free_vars, inter_of
 from .theory import TheorySpec
+
+
+# The search loads on first use: only interpret_member runs it.  It calls
+# the search through this module (``_filters.derives``), so that a wrapper
+# set on the module is what runs.
+__getattr__ = _lazy(globals(), {"assign": ("SearchBudget", "derives")})
+_filters = sys.modules[__name__]
 
 
 class FiniteFilter(namedtuple("FiniteFilter", "generator", defaults=(None,))):
@@ -82,15 +90,17 @@ def interpret_member(
     m: Term,
     env: dict[str, FiniteFilter],
     a: Type,
-    budget: SearchBudget = SearchBudget(),
+    budget: SearchBudget | None = None,
 ) -> Verdict:
     """Whether a belongs to the interpretation of m in the filter structure
-    under env; equivalently, whether the generator basis derives m : a."""
+    under env; equivalently, whether the generator basis derives m : a,
+    searched within budget (by default ``SearchBudget()``)."""
     ctx: dict[str, Type] = {}
     for x in sorted(free_vars(m)):
         g = _generator(spec, env.get(x, FiniteFilter(None)))
         if g is None:
             raise EmptyEnvFilter(f"variable {x!r} is bound to the empty filter")
         ctx[x] = g
-    v, _ = derives(spec, ctx, m, a, budget)
+    budget = _filters.SearchBudget() if budget is None else budget
+    v, _ = _filters.derives(spec, ctx, m, a, budget)
     return v

@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import graphlib
 import json
-import string
 from functools import cached_property
 
 from .errors import ItypesError, UnsupportedTheory
@@ -207,8 +206,22 @@ class TheorySpec:
 
 
 def make_spec(atoms, rules, equations=None, name=None) -> TheorySpec:
+    """A spec from its parts; a rule may be given by its name, and an
+    unknown name raises ItypesError."""
     eqs = tuple(sorted((equations or {}).items()))
-    return TheorySpec(frozenset(atoms), frozenset(rules), eqs, name)
+    return TheorySpec(frozenset(atoms), _rules(rules, "the rule set"), eqs, name)
+
+
+def _rules(names, where: str) -> frozenset:
+    """The rules of the given names or members; ItypesError names the first
+    unknown one, saying where it was given."""
+    out = set()
+    for r in names:
+        try:
+            out.add(Rule(r))
+        except ValueError:
+            raise ItypesError(f"{where} names an unknown rule {r!r}") from None
+    return frozenset(out)
 
 
 def named_theory(n: NamedTheory, extra_atoms: int = 0) -> TheorySpec:
@@ -216,7 +229,7 @@ def named_theory(n: NamedTheory, extra_atoms: int = 0) -> TheorySpec:
     ... as a finite stand-in for an infinite supply of plain atoms."""
     if not 0 <= extra_atoms <= 26:
         raise ValueError(f"the fresh atom count must be 0 to 26, not {extra_atoms}")
-    fresh = {string.ascii_lowercase[i] for i in range(extra_atoms)}
+    fresh = {chr(ord("a") + i) for i in range(extra_atoms)}
     match n:
         case NamedTheory.BA:
             return make_spec(fresh, BA_RULES, name="ba")
@@ -356,15 +369,8 @@ def spec_from_json(data: dict) -> TheorySpec:
         atoms.add(OMEGA)
     if data.get("nu"):
         atoms.add(NU)
-    rules = set()
-    for r in data.get("rules", []):
-        try:
-            rules.add(Rule(r))
-        except ValueError:
-            raise ItypesError(
-                f"theory spec field 'rules' names an unknown rule {r!r}"
-            ) from None
-    probe = TheorySpec(frozenset(atoms), frozenset(rules))
+    rules = _rules(data.get("rules", []), "theory spec field 'rules'")
+    probe = TheorySpec(frozenset(atoms), rules)
     equations = {
         k: parse_type(v, probe) for k, v in data.get("equations", {}).items()
     }

@@ -18,13 +18,12 @@ from itypes.classify import adequacy_report
 from itypes.filters import up, interpret_member
 from itypes.laws import (
     _universe,
-    admissible_rule_suite,
     filter_laws,
     oracle_agreement_law,
     preorder_laws,
-    random_judgments,
     trace_soundness_law,
 )
+from itypes.search_laws import admissible_rule_suite, random_judgments
 from itypes.subtype import canonical_types, eq, leq
 from itypes.syntax import App, Atom, Lam, Var, parse_term as T, parse_type as P
 from itypes.theory import NamedTheory, named_theory

@@ -21,7 +21,7 @@ from itypes.assign import (
     _Search,
 )
 from itypes.errors import UnknownAtomError, UnsupportedTheory
-from itypes.laws import (
+from itypes.search_laws import (
     _random_term,
     admissible_rule_suite,
     hindley_rule_check,

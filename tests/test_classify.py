@@ -9,7 +9,8 @@ from itypes.classify import (
     is_strict,
 )
 from itypes.errors import UnsupportedTheory
-from itypes.laws import fun_alternative_check, fun_phi_law, run_all
+from itypes.laws import run_all
+from itypes.search_laws import fun_alternative_check, fun_phi_law
 from itypes.subtype import canonical_types
 from itypes.syntax import Atom, Inter, parse_type as P
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import itypes
+from itypes import cli
 from itypes.cli import build_parser, main
 from itypes.theory import BA_RULES, NamedTheory, Rule, make_spec, named_theory, spec_to_json
 from test_theory import chain_spec
@@ -531,3 +533,70 @@ def test_every_export_resolves_to_its_home_object():
         assert getattr(itypes, name) is getattr(home, name), name
     with pytest.raises(AttributeError):
         itypes.no_such_name
+
+
+# ---------------------------------------------------------------- layering
+
+
+def _loaded_by(code: str) -> set:
+    """The itypes submodules, by their short names, that code loads in a
+    fresh interpreter."""
+    last = _probe(f"import sys\n{code}\n{_LOADED}").splitlines()[-1]
+    return {m.removeprefix("itypes.") for m in ast.literal_eval(last)}
+
+
+def _command(*argv) -> str:
+    # as the console script runs it
+    return f"from itypes.cli import main\nmain({list(argv)!r})"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_leq_loads_only_the_decider(output):
+    code = _command("leq", "--theory", "ba", "--atoms", "2", "--output", output, "a & b", "a")
+    assert _loaded_by(code) == {"cli", "errors", "syntax", "theory", "subtype"}
+
+
+def test_classify_loads_neither_the_decider_nor_the_search():
+    loaded = _loaded_by(_command("classify", "--theory", "ao"))
+    assert "classify" in loaded
+    assert not loaded & {"subtype", "assign", "filters"}
+
+
+def test_check_loads_no_filters_classification_or_laws():
+    loaded = _loaded_by(_command("check", "--theory", "ba", "--atoms", "2", "x:a", "x", "a"))
+    assert "assign" in loaded
+    assert not loaded & {"filters", "classify", "laws"}
+
+
+def test_the_preorder_oracle_trace_and_filter_laws_load_no_search():
+    code = (
+        "from itypes import laws\n"
+        "from itypes.theory import NamedTheory, named_theory\n"
+        "spec, atoms = named_theory(NamedTheory.BCD, 2), frozenset('ab')\n"
+        "for law in (laws.preorder_laws, laws.oracle_agreement_law,\n"
+        "            laws.trace_soundness_law, laws.filter_laws):\n"
+        "    law(spec, atoms, 2)"
+    )
+    loaded = _loaded_by(code)
+    assert "laws" in loaded
+    assert not loaded & {"assign", "classify", "search_laws"}
+
+
+def test_commands_call_the_names_set_on_the_module(monkeypatch, capsys):
+    # perfbench/tracing.py times a CLI run by wrapping these names
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("leq_trace")
+    spy("derives")
+    assert run(capsys, "leq", "--theory", "bcd", "--output", "json", "a & b", "a")[0] == 0
+    assert run(capsys, "check", "--theory", "ba", "--atoms", "2", "x:a", "x", "a")[0] == 0
+    assert calls == ["leq_trace", "derives"]

@@ -276,6 +276,21 @@ def test_json_roundtrip_with_equations():
     assert spec_from_json(spec_to_json(spec)) == spec
 
 
+def test_rules_given_by_name_make_members():
+    spec = make_spec({"a"}, {"arrow-inter", "eta"}, name="s")
+    assert spec == make_spec({"a"}, BA_RULES)
+    assert all(type(r) is Rule for r in spec.rules)
+    data = spec_to_json(spec)
+    assert data["rules"] == ["arrow-inter", "eta"]
+    assert spec_from_json(json.loads(json.dumps(data))) == spec
+
+
+def test_make_spec_refuses_an_unknown_rule():
+    with pytest.raises(ItypesError) as info:
+        make_spec({"a"}, {"arrow-inter", "bogus"})
+    assert str(info.value) == "the rule set names an unknown rule 'bogus'"
+
+
 def test_spec_equality_ignores_name():
     plain = make_spec({"a"}, BA_RULES, name="one")
     other = make_spec({"a"}, BA_RULES, name="two")
