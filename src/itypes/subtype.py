@@ -8,7 +8,9 @@ memoised in the theory's tables.  ``leq_trace`` decides first and gives every
 positive answer a proof trace: a tree of primitive rule applications that
 ``check_proof`` can verify without trusting the algorithm.  Proof nodes are
 immutable tuples; the arrow heads of a type come with their proofs from the
-theory's ``head_proofs`` table, so traces share those subproofs.
+theory's ``head_proofs`` table, the traces of one left type share subproofs
+through its ``proofs`` row, and the omega -> omega branches of one arrow
+target share its ``omega_tails`` entry.
 ``check_proof`` checks one rule instance per node on an explicit stack.
 
 ``leq_oracle`` is the independent safety net: it saturates the subtype
@@ -112,7 +114,8 @@ def _axiom_ok(spec: TheorySpec, rules, rule, lhs, rhs) -> bool:
 def check_proof(spec: TheorySpec, p: Proof) -> bool:
     """Verify that every node is a correct instance of a primitive rule the
     theory has.  The walk keeps an explicit stack, so a proof's depth is
-    bounded only by memory, and checks a node that premises share once."""
+    bounded only by memory, and checks a node that premises share once
+    within one call: traces that share nodes are each checked in full."""
     rules = spec.rules
     seen = set()  # the ids of the nodes with premises checked so far
     todo = [p]
@@ -366,13 +369,17 @@ def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
 def _build(spec: TheorySpec, a: Type, b: Type, memo: dict) -> Proof:
     """The proof trace of a <= b, which ``leq`` must have accepted: ``leq``'s
     cases plus one branch, the omega -> omega proof shape the trace golden
-    pins.  No refuted subgoal is ever proved; ``memo`` shares subproofs."""
+    pins.  No refuted subgoal is ever proved; ``memo`` shares subproofs and
+    is cleared when it reaches ``TABLE_CAP``."""
     if a is b:
         return _refl(a)
     key = (a, b)
     p = memo.get(key)
     if p is None:
-        p = memo[key] = _build_uncached(spec, a, b, memo)
+        p = _build_uncached(spec, a, b, memo)
+        if len(memo) >= TABLE_CAP:
+            memo.clear()
+        memo[key] = p
     return p
 
 
@@ -399,12 +406,9 @@ def _build_uncached(spec, a, b, memo):
         (spec.omega_eta or (spec.omega_lazy and arrow_heads(spec, a)))
         and leq(spec, omega, d)
     ):
-        tail = _eta(Proof("omega-top", c, omega), _build(spec, omega, d, memo))  # Ω→Ω <= c→d
+        tail = _omega_tail(spec, b, memo)  # Ω→Ω <= c→d, from Ω under omega-eta
         if spec.omega_eta:
-            return _trans(
-                Proof("omega-top", a, omega),
-                _trans(Proof("omega-eta", omega, oo), tail),
-            )
+            return _trans(Proof("omega-top", a, omega), tail)
         h = _head_proofs(spec, a)[0]
         return _trans(h.proof, _trans(Proof("omega-lazy", h.arrow, oo), tail))
 
@@ -422,12 +426,36 @@ def _build_uncached(spec, a, b, memo):
     return _trans(p1, _trans(p2, _eta(pc_all, pd)))
 
 
+def _omega_tail(spec: TheorySpec, b: Arrow, memo: dict) -> Proof:
+    """The part of the omega -> omega branch that no left type enters: Ω→Ω
+    <= b by eta, after omega-eta's Ω <= Ω→Ω where the theory has it.
+    Memoised per target in the theory's tables."""
+    table = spec.tables.omega_tails
+    p = table.get(b)
+    if p is None:
+        omega = spec.omega
+        p = _eta(Proof("omega-top", b.dom, omega), _build(spec, omega, b.cod, memo))
+        if spec.omega_eta:
+            p = _trans(Proof("omega-eta", omega, spec.omega_arrow), p)
+        if len(table) >= TABLE_CAP:
+            table.clear()
+        table[b] = p
+    return p
+
+
 def leq_trace(spec: TheorySpec, a: Type, b: Type):
     """Decide a <= b; returns the proof trace on success, None on failure.
-    The trace is built only after the decision accepts."""
+    The trace is built only after the decision accepts.  Traces of one left
+    type share their subproofs through the theory's proof row, which the
+    next left type replaces: a trace of a <= l & r holds the traces of
+    a <= l and a <= r made before it."""
     if not leq(spec, a, b):
         return None
-    return _build(spec, a, b, {})
+    tables = spec.tables
+    row = tables.proofs
+    if row is None or row[0] is not a:
+        row = tables.proofs = (a, {})
+    return _build(spec, a, b, row[1])
 
 
 def eq(spec: TheorySpec, a: Type, b: Type) -> bool:

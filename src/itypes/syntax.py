@@ -10,6 +10,7 @@ application associate to the left.
 from __future__ import annotations
 
 import re
+import sys
 import weakref
 
 from .errors import ParseError, UnknownAtomError
@@ -50,6 +51,10 @@ def _intern(cls, *fields):
     return node
 
 
+# The most characters of a node's text that its repr shows.
+REPR_CAP = 1 << 15
+
+
 class _Node:
     """An interned, immutable node; subclasses list their fields in
     ``__match_args__`` and build through ``_intern``."""
@@ -68,8 +73,13 @@ class _Node:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self):
-        # the text of the printers, which keep an explicit stack: Arrow('a -> b')
-        return f"{type(self).__name__}({str(self)!r})"
+        # the text of the printers, which keep an explicit stack: Arrow('a -> b').
+        # A node that shares its parts can have a text exponential in its node
+        # count, so the walk stops past REPR_CAP characters and the cut is marked
+        text = (print_type if isinstance(self, Type) else print_term)(self, REPR_CAP + 1)
+        if len(text) > REPR_CAP:
+            return f"{type(self).__name__}({text[:REPR_CAP]!r}, cut at {REPR_CAP} characters)"
+        return f"{type(self).__name__}({text!r})"
 
 
 # ---------------------------------------------------------------- types
@@ -503,7 +513,10 @@ def parse_term(src: str) -> Term:
 
 # ---------------------------------------------------------------- printers
 
-def print_term(t: Term) -> str:
+def print_term(t: Term, limit: int = sys.maxsize) -> str:
+    """The text of t, which ``parse_term`` reads back as t.  With ``limit``,
+    a prefix of it: the walk stops once it has written that many pieces,
+    each at least one character long."""
     # An abstraction extends as far right as possible and application is
     # left-associative: parenthesize an abstraction in function position and
     # an abstraction or application in argument position.  The walk keeps an
@@ -516,6 +529,8 @@ def print_term(t: Term) -> str:
             out.append(t)
         elif isinstance(t, Var):
             out.append(t.name)
+        elif len(out) >= limit:
+            break
         elif isinstance(t, Lam):
             todo += (t.body, f"\\{t.binder}. ")
         elif isinstance(t, App):
@@ -530,7 +545,10 @@ def print_term(t: Term) -> str:
     return "".join(out)
 
 
-def print_type(t: Type) -> str:
+def print_type(t: Type, limit: int = sys.maxsize) -> str:
+    """The text of t, which ``parse_type`` reads back as t.  With ``limit``,
+    a prefix of it: the walk stops once it has written that many pieces,
+    each at least one character long."""
     # Grammar: '&' is left-associative and tighter than '->'; '->' is
     # right-associative.  Parenthesize exactly where the tree shape would
     # otherwise be lost, so parse(print(t)) == t.  The walk keeps an explicit
@@ -543,6 +561,8 @@ def print_type(t: Type) -> str:
             out.append(t)
         elif isinstance(t, Atom):
             out.append(t.name)
+        elif len(out) >= limit:
+            break
         elif isinstance(t, Arrow):
             d = t.dom
             todo += (t.cod, " -> ", *_grouped(d, isinstance(d, Arrow)))

@@ -67,15 +67,20 @@ class TheoryTables:
     ``(a, c, meet of the codomains of the heads of a whose domain c lies
     below, or None)``, so that arrow targets and filter applications with
     the same ``a`` and ``c`` select once; ``heads`` maps a type to its arrow
-    heads, and ``head_proofs`` to those heads with their proofs; ``canon``
-    maps a type to its canonical conjuncts; ``in_theory`` holds the types
-    whose atoms the search has found in the theory.  Types are hash-consed,
-    so the tables key on node identity.  Values over a whole universe, as
-    the canonical types of one, are kept by ``TheorySpec.relation``.
+    heads, and ``head_proofs`` to those heads with their proofs; ``proofs``
+    is the proof row of the last left type ``a`` that ``leq_trace`` was
+    given, ``(a, dict from (lhs, rhs) to the proof built for it)``, which
+    holds the subproofs of a's traces and is replaced for a new left type;
+    ``omega_tails`` maps an arrow target to the part of its omega -> omega
+    proof that no left type enters; ``canon`` maps a type to its canonical
+    conjuncts; ``in_theory`` holds the types whose atoms the search has
+    found in the theory.  Types are hash-consed, so the tables key on node
+    identity.  Values over a whole universe, as the canonical types of one,
+    are kept by ``TheorySpec.relation``.
     """
 
-    __slots__ = ("leq", "leq_size", "selection", "heads", "head_proofs", "canon",
-                 "in_theory")
+    __slots__ = ("leq", "leq_size", "selection", "heads", "head_proofs", "proofs",
+                 "omega_tails", "canon", "in_theory")
 
     def __init__(self):
         self.leq: dict[Type, dict[Type, bool]] = {}
@@ -83,6 +88,8 @@ class TheoryTables:
         self.selection: tuple[Type, Type, Type | None] | None = None
         self.heads: dict[Type, tuple[Arrow, ...]] = {}
         self.head_proofs: dict[Type, tuple] = {}
+        self.proofs: tuple[Type, dict] | None = None
+        self.omega_tails: dict[Arrow, tuple] = {}
         self.canon: dict[Type, tuple[Type, ...]] = {}
         self.in_theory: set[Type] = set()
 

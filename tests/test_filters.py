@@ -18,7 +18,7 @@ from itypes.laws import filter_laws
 from itypes.subtype import arrow_heads, canonical, canonical_types, eq, leq
 from itypes.syntax import Arrow, inter_of, parse_term as T, parse_type as P
 
-from test_generated_theories import SPECS, generated_spec
+from theory_gen import SPECS, generated_spec
 
 EMPTY = FiniteFilter(None)
 

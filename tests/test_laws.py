@@ -1,14 +1,14 @@
 """Every law suite can fail.
 
 Each case breaks one name that ``itypes.laws`` or ``itypes.search_laws``
-reads, on a fresh theory (the law universes are kept with the theory), and
-expects the laws that read it to report failures: a law that cannot fail
-would pass unseen.
+reads, or one proof combinator of ``itypes.subtype``, on a fresh theory
+(the law universes are kept with the theory), and expects the laws that
+read it to report failures: a law that cannot fail would pass unseen.
 """
 
 import pytest
 
-from itypes import laws, search_laws
+from itypes import laws, search_laws, subtype
 from itypes.assign import Verdict
 from itypes.filters import up
 from itypes.syntax import parse_type as P
@@ -24,6 +24,12 @@ def _irreflexive(leq):
 def _refutes_omega_arrow(leq):
     pair = (P("omega"), P("omega -> omega"))
     return lambda spec, a, b: (a, b) != pair and leq(spec, a, b)
+
+
+def _swaps_premises(eta):
+    # an eta node whose premises come in the wrong order: the traces that
+    # share it through the theory's proof row must all fail the checker
+    return lambda pdom, pcod: eta(pdom, pcod)._replace(premises=(pcod, pdom))
 
 
 def _admissible(spec):
@@ -51,6 +57,9 @@ def _search_laws(spec):
         (laws, "check_proof", lambda _: lambda spec, p: False,
          lambda spec: lambda: [laws.trace_soundness_law(spec, ATOMS, 3)],
          {"trace-soundness"}),
+        (subtype, "_eta", _swaps_premises,
+         lambda spec: lambda: [laws.trace_soundness_law(spec, ATOMS, 3)],
+         {"trace-soundness"}),
         (laws, "apply", lambda _: lambda spec, x, y: up(),
          lambda spec: lambda: laws.filter_laws(spec, ATOMS, 3), {"prop-simple"}),
         (search_laws, "check_derivation", lambda _: lambda spec, d: False, _search_laws,
@@ -58,7 +67,7 @@ def _search_laws(spec):
         (search_laws, "derives", lambda _: lambda *args: (Verdict.UNKNOWN, None), _admissible,
          {"admissible-rules"}),
     ],
-    ids=["leq-irreflexive", "leq-omega-arrow", "check_proof", "apply",
+    ids=["leq-irreflexive", "leq-omega-arrow", "check_proof", "build-eta", "apply",
          "check_derivation", "derives"],
 )
 def test_every_law_suite_can_fail(monkeypatch, module, name, wrong, suite, failing):

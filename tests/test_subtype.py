@@ -189,7 +189,8 @@ def test_memo_tables_are_cleared_at_cap(monkeypatch):
     assert answers(capped) == want
     tables = capped.tables
     assert 0 < sum(len(row) for row in tables.leq.values()) <= 8
-    for table in (tables.heads, tables.head_proofs, tables.canon):
+    for table in (tables.heads, tables.head_proofs, tables.proofs[1],
+                  tables.omega_tails, tables.canon):
         assert 0 < len(table) <= 8
 
 
@@ -346,6 +347,32 @@ def test_traces_match_golden_digest(all_theories):
     assert digest.hexdigest() == (
         "f65ba8e3f1068fba7c36cb35347d35901173c566bccec68ac1e0cf53c58bf2c5"
     )
+
+
+def test_traces_of_one_left_type_share_their_subproofs():
+    # the trace of a <= l & r is idem, then mon over the traces of a <= l
+    # and a <= r that the same left type's earlier calls returned
+    spec = named_theory(NamedTheory.BCD, 2)
+    a, l, r = P("(a -> b) & (b -> a & b)"), P("a -> b"), P("b -> a")
+    pl, pr = leq_trace(spec, a, l), leq_trace(spec, a, r)
+    p = leq_trace(spec, a, Inter(l, r))
+    assert check_proof(spec, p)
+    mon = p.premises[1]
+    assert mon.rule == "mon" and mon.premises[0] is pl and mon.premises[1] is pr
+    # the proof row and the omega -> omega tails change no trace: traces
+    # built in row order and in a shuffled order print the same
+    rng = random.Random(7)
+    for which in NamedTheory:
+        types = enumerate_types(named_theory(which, 2).universe_atoms({"a", "b"}), 4)
+        pairs = [(x, y) for x in types for y in types]
+        shuffled = rng.sample(pairs, len(pairs))
+        traces = []
+        for order in (pairs, shuffled):
+            spec = named_theory(which, 2)  # a new spec has new tables
+            built = {(x, y): leq_trace(spec, x, y) for x, y in order}
+            traces.append({k: proof_to_json(q) for k, q in built.items() if q is not None})
+        assert traces[0] == traces[1]
+        assert traces[0]
 
 
 def test_arrow_heads_match_their_proofs(all_theories):

@@ -495,3 +495,25 @@ def test_repr_of_a_deep_type_term_and_spec():
     spec = make_spec({"a", "b"}, BA_RULES, {"a": rhs})
     assert f"(('a', Arrow({str(rhs)!r})),)" in repr(spec)
     assert repr(a) == "Atom('a')" and repr(Inter(a, b)) == "Inter('a & b')"
+
+
+def test_repr_of_a_doubled_type_and_term_is_cut():
+    # 2**60 paths to a leaf: the full text would never end, so repr walks
+    # only as far as REPR_CAP characters and says where it cut.  Each check
+    # is named, since a failed assertion would print the node.
+    t, m = Atom("a"), Var("x")
+    for _ in range(60):
+        t, m = Inter(t, t), App(m, m)
+    cap = syntax.REPR_CAP
+    shown = {"type": repr(t), "term": repr(m)}
+    prefix = {"type": "Inter('a & a & (a & a)", "term": "App('x x (x x)"}
+    checks = {}
+    for kind, text in shown.items():
+        checks[f"{kind} starts with its text"] = text.startswith(prefix[kind])
+        checks[f"{kind} marks the cut"] = text.endswith(f"', cut at {cap} characters)")
+        checks[f"{kind} shows {cap} characters"] = len(text) < cap + 50
+    assert [check for check, ok in checks.items() if not ok] == []
+    # a text of exactly REPR_CAP characters is shown whole
+    u = Atom("a" * (cap - 5))
+    u = Arrow(u, Atom("b"))
+    assert len(str(u)) == cap and repr(u) == f"Arrow({str(u)!r})"
