@@ -197,21 +197,30 @@ def filter_laws(spec: TheorySpec, atoms, size: int) -> list[LawResult]:
     gens = canonical_types(spec, spec.universe_atoms(atoms), size)
     small = canonical_types(spec, spec.universe_atoms(atoms), min(size, 3))
 
+    # What no generator changes, worked out once: for each small type a, the
+    # filter up(a) and, for each small type b, leq(a, b), a & b and a -> b.
+    # Each generator's membership of every small type is worked out once
+    # too; the memberships of a & b and a -> b, and application, are still
+    # asked of each generator
+    table = [(a, up(a), [(b, leq(spec, a, b), Inter(a, b), Arrow(a, b)) for b in small])
+             for a in small]
+
     upward = LawResult("filter-upward-closure")
     intersect = LawResult("filter-inter-closure")
     for g in gens:
         x = FiniteFilter(g)
-        for a in small:
-            if not member(spec, x, a):
+        has = [member(spec, x, b) for b in small]
+        for a_in, (a, _, row) in zip(has, table):
+            if not a_in:
                 continue
-            for b in small:
-                if leq(spec, a, b):
+            for b_in, (b, below, ab, _) in zip(has, row):
+                if below:
                     upward.checked += 1
-                    if not member(spec, x, b):
+                    if not b_in:
                         upward.failures.append((print_type(g), print_type(b)))
-                if member(spec, x, b):
+                if b_in:
                     intersect.checked += 1
-                    if not member(spec, x, Inter(a, b)):
+                    if not member(spec, x, ab):
                         intersect.failures.append(
                             (print_type(g), print_type(a), print_type(b))
                         )
@@ -221,18 +230,17 @@ def filter_laws(spec: TheorySpec, atoms, size: int) -> list[LawResult]:
         x = FiniteFilter(g)
         if spec.has_omega and not member(spec, x, spec.omega_arrow):
             continue
-        for a in small:
+        for a, ua, row in table:
             # b in x . up(a) iff a -> b in x, applying x to up(a) once
-            xa = apply(spec, x, up(a))
-            for b in small:
+            xa = apply(spec, x, ua)
+            for b, _, _, ab in row:
                 simple.checked += 1
-                if member(spec, xa, b) != member(spec, x, Arrow(a, b)):
+                if member(spec, xa, b) != member(spec, x, ab):
                     simple.failures.append((print_type(g), print_type(a), print_type(b)))
 
     mono = LawResult("apply-monotone")
-    args = [up(t) for t in small] + [up()]
-    for g1, g2 in itertools.product(small, small):
-        x1, x2 = up(g1), up(g2)
+    args = [ua for _, ua, _ in table] + [up()]
+    for (g1, x1, _), (g2, x2, _) in itertools.product(table, table):
         if not filter_leq(spec, x1, x2):
             continue
         for y in args:

@@ -544,7 +544,13 @@ UNIVERSE_CAP = 20000
 
 def _saturate(spec: TheorySpec, atoms: frozenset, bound: int):
     """The least preorder on the universe closed under refl, incl, trans,
-    pairing, eta where the theory has it, and the theory's axioms."""
+    pairing, eta where the theory has it, and the theory's axioms.
+
+    The relation is kept transitively closed edge by edge (Italiano's
+    incremental closure, TCS 48, 1986): ``succ[i]``, the row, holds the
+    types above i, and ``pred[j]``, the column, the types below j, so an
+    edge puts everything below its source under everything above its
+    target at once, and pairing and eta read their premises as masks."""
     universe = enumerate_types(atoms, bound)
     if len(universe) > UNIVERSE_CAP:
         raise ResourceLimit(
@@ -555,18 +561,42 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int):
     omega, oo, nu = spec.omega, spec.omega_arrow, spec.nu
     rules = spec.rules
     top = 1 << index[omega] if Rule.OMEGA_TOP in rules and omega in index else 0
-    # succ[i] bit j set <=> universe[i] <= universe[j]; refl and omega-top
+    # succ[i] bit j set <=> universe[i] <= universe[j] <=> pred[j] bit i set;
+    # refl and omega-top, which are closed already
     succ = [1 << i | top for i in range(n)]
+    pred = [1 << j for j in range(n)]
+    if top:
+        pred[index[omega]] = (1 << n) - 1
+
+    def below(down, j):
+        """Put every type of ``down``, a set closed downwards, below j, and
+        everything below them under everything above j.  Whether it grew."""
+        new = down & ~pred[j]
+        if not new:
+            return False
+        up = succ[j]
+        while new:
+            low = new & -new
+            new ^= low
+            succ[low.bit_length() - 1] |= up
+        while up:
+            low = up & -up
+            up ^= low
+            pred[low.bit_length() - 1] |= down
+        return True
 
     def add(i, j):
-        succ[i] |= 1 << j
+        below(pred[i], j)
 
-    arrows = [(i, t) for i, t in enumerate(universe) if isinstance(t, Arrow)]
-    inters = [(i, t) for i, t in enumerate(universe) if isinstance(t, Inter)]
+    arrows = [(i, index[t.dom], index[t.cod]) for i, t in enumerate(universe)
+              if isinstance(t, Arrow)]
+    inters = [(i, index[t.left], index[t.right]) for i, t in enumerate(universe)
+              if isinstance(t, Inter)]
 
-    for i, t in inters:
-        add(i, index[t.left])
-        add(i, index[t.right])
+    for i, li, ri in inters:
+        add(i, li)
+        add(i, ri)
+        t = universe[i]
         # arrow-inter instances
         if (
             Rule.ARROW_INTER in rules
@@ -577,7 +607,7 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int):
             target = Arrow(t.left.dom, Inter(t.left.cod, t.right.cod))
             if target in index:
                 add(i, index[target])
-    for i, t in arrows:
+    for i, _, _ in arrows:
         if Rule.NU_TOP in rules and nu in index:
             add(i, index[nu])
         if spec.omega_lazy and oo in index:
@@ -590,34 +620,42 @@ def _saturate(spec: TheorySpec, atoms: frozenset, bound: int):
             add(index[at], index[rhs])
             add(index[rhs], index[at])
 
+    def union(bits, masks):
+        acc = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            acc |= masks[low.bit_length() - 1]
+        return acc
+
+    # the arrows by domain and by codomain, and the types that are one
+    by_dom, by_cod = {}, {}
+    for i, di, ci in arrows:
+        by_dom[di] = by_dom.get(di, 0) | 1 << i
+        by_cod[ci] = by_cod.get(ci, 0) | 1 << i
+    doms, cods = sum(1 << d for d in by_dom), sum(1 << c for c in by_cod)
+
+    # Rounds of pairing and eta until one adds nothing: the relation is
+    # closed after every edge, so only these two rules can still grow it
     while True:
-        # transitive closure of the current edges (Warshall, on the rows)
-        for k, row in enumerate(succ):
-            bit = 1 << k
-            for i, r in enumerate(succ):
-                if r & bit:
-                    succ[i] = r | row
         # pairing: i <= l and i <= r give i <= l & r.  It covers idem (l = r
         # = t, as succ[t] holds t) and mon (t = l & r below u = l' & r' from
         # l <= l' and r <= r': the incl edges and the closure put l' and r'
         # in succ[t]), so neither needs a pass of its own
         grew = False
-        for j, u in inters:
-            li, ri = index[u.left], index[u.right]
-            for i in range(n):
-                if not (succ[i] >> j) & 1:
-                    if (succ[i] >> li) & 1 and (succ[i] >> ri) & 1:
-                        add(i, j)
-                        grew = True
-        # eta
+        for k, li, ri in inters:
+            grew |= below(pred[li] & pred[ri], k)
+        # eta: d -> c <= d' -> c' for d' <= d and c <= c'.  The sources of
+        # d' -> c' are the arrows with a domain above d' and a codomain below
+        # c', gathered once a round (a mask gone stale within the round only
+        # holds fewer sources)
         if Rule.ETA in rules:
-            for i, t in arrows:
-                di, ci = index[t.dom], index[t.cod]
-                for j, u in arrows:
-                    if not (succ[i] >> j) & 1:
-                        if (succ[index[u.dom]] >> di) & 1 and (succ[ci] >> index[u.cod]) & 1:
-                            add(i, j)
-                            grew = True
+            above = {d: union(succ[d] & doms, by_dom) for d in by_dom}
+            under = {c: union(pred[c] & cods, by_cod) for c in by_cod}
+            for j, di, ci in arrows:
+                src = above[di] & under[ci] & ~pred[j]
+                if src:
+                    grew |= below(union(src, pred), j)
         if not grew:
             return index, succ
 

@@ -35,7 +35,13 @@ the concatenated values of its items:
 - ``derivations``: ``json.dumps(derivation_to_json(d), sort_keys=True)``
   and a newline, for every derivation of ``verdicts``;
 - ``laws``: ``json.dumps(r.to_json(), sort_keys=True)`` of every result of
-  ``run_all`` at size 3 and seed 0.
+  ``run_all`` at size 3 and seed 0;
+- ``oracle``: every type of the saturation oracle's universe in index
+  order, printed, with its ``succ`` row from ``oracle_relation`` in hex,
+  a line each.  Its universes are its own: the named theories with 1, 2
+  and 3 fresh atoms at sizes 1, 3 and 5 and with 1 at size 7, then the
+  specs of ``theory_gen.SPECS`` at sizes 3 and 5 (48 + 4 + 60 universes,
+  up to 714 types).
 """
 
 import argparse
@@ -55,11 +61,12 @@ from itypes.subtype import (
     enumerate_types,
     leq,
     leq_trace,
+    oracle_relation,
     proof_to_json,
 )
 from itypes.syntax import App, parse_term, print_type
 from itypes.theory import NamedTheory, named_theory
-from theory_gen import generated_spec
+from theory_gen import SPECS, generated_spec
 
 OMEGA = parse_term("(\\x. x x) (\\x. x x)")
 JUDGMENTS = 200  # per theory, in the verdicts and derivations families
@@ -149,6 +156,18 @@ def law_items():
             yield label, r.name, json.dumps(r.to_json(), sort_keys=True)
 
 
+def oracle_items():
+    universes = [(f"{which.value}{k}", named_theory(which, k), size)
+                 for which in NamedTheory for k in (1, 2, 3) for size in (1, 3, 5)]
+    universes += [(f"{which.value}1", named_theory(which, 1), 7) for which in NamedTheory]
+    universes += [(f"gen{seed}", spec, size)
+                  for seed, spec in enumerate(SPECS) for size in (3, 5)]
+    for label, spec, size in universes:
+        index, succ = oracle_relation(spec, spec.plain_atoms, size)
+        rows = "".join(f"{print_type(t)}\t{succ[i]:x}\n" for t, i in index.items())
+        yield label, f"size {size}", rows
+
+
 FAMILIES = {
     "leq": leq_items,
     "traces": trace_items,
@@ -157,6 +176,7 @@ FAMILIES = {
     "verdicts": verdict_items,
     "derivations": derivation_items,
     "laws": law_items,
+    "oracle": oracle_items,
 }
 
 

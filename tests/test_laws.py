@@ -11,7 +11,7 @@ import pytest
 from itypes import laws, search_laws, subtype
 from itypes.assign import Verdict
 from itypes.filters import up
-from itypes.syntax import parse_type as P
+from itypes.syntax import Arrow, Inter, parse_type as P
 from itypes.theory import NamedTheory, named_theory
 
 ATOMS = frozenset({"a", "b"})
@@ -24,6 +24,16 @@ def _irreflexive(leq):
 def _refutes_omega_arrow(leq):
     pair = (P("omega"), P("omega -> omega"))
     return lambda spec, a, b: (a, b) != pair and leq(spec, a, b)
+
+
+def _refuses(kind):
+    return lambda member: lambda spec, x, a: not isinstance(a, kind) and member(spec, x, a)
+
+
+def _drops_inter_functions(apply):
+    # a function filter with an intersection generator applies to up(), and
+    # any other to itself, so x1 <= x2 need not carry over to x1 y <= x2 y
+    return lambda spec, x, y: up() if isinstance(x.generator, Inter) else x
 
 
 def _swaps_premises(eta):
@@ -62,13 +72,19 @@ def _search_laws(spec):
          {"trace-soundness"}),
         (laws, "apply", lambda _: lambda spec, x, y: up(),
          lambda spec: lambda: laws.filter_laws(spec, ATOMS, 3), {"prop-simple"}),
+        (laws, "member", _refuses(Arrow),
+         lambda spec: lambda: laws.filter_laws(spec, ATOMS, 3), {"filter-upward-closure"}),
+        (laws, "member", _refuses(Inter),
+         lambda spec: lambda: laws.filter_laws(spec, ATOMS, 3), {"filter-inter-closure"}),
+        (laws, "apply", _drops_inter_functions,
+         lambda spec: lambda: laws.filter_laws(spec, ATOMS, 3), {"apply-monotone"}),
         (search_laws, "check_derivation", lambda _: lambda spec, d: False, _search_laws,
          {"search-soundness", "spine-filter", "subject-reduction"}),
         (search_laws, "derives", lambda _: lambda *args: (Verdict.UNKNOWN, None), _admissible,
          {"admissible-rules"}),
     ],
     ids=["leq-irreflexive", "leq-omega-arrow", "check_proof", "build-eta", "apply",
-         "check_derivation", "derives"],
+         "member-arrow", "member-inter", "apply-inter", "check_derivation", "derives"],
 )
 def test_every_law_suite_can_fail(monkeypatch, module, name, wrong, suite, failing):
     spec = named_theory(NamedTheory.BCD, 2)
