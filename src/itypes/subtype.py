@@ -1,16 +1,16 @@
 """Subtype decision procedure for theories validating the base rule set.
 
 ``leq`` decides A <= B by flattening intersections and reducing arrow goals
-to a subset selection over the left side's "arrow heads" (explicit arrow
-conjuncts, atom-equation expansions, and the omega->omega contributions of
-the omega-eta / omega-lazy axioms).  It builds no proof; its decisions are
-memoised in the theory's tables.  ``leq_trace`` decides first and gives every
-positive answer a proof trace: a tree of primitive rule applications that
-``check_proof`` can verify without trusting the algorithm.  Proof nodes are
-immutable tuples; the arrow heads of a type come with their proofs from the
-theory's ``head_proofs`` table, the traces of one left type share subproofs
-through its ``proofs`` row, and the omega -> omega branches of one arrow
-target share its ``omega_tails`` entry.
+to a subset selection over the left side's arrow heads: its arrow
+conjuncts, the conjuncts of its equated atoms, and omega -> omega last where
+omega-eta or omega-lazy gives it.  One walk, ``_heads``, lists them, with
+their proofs of A <= head only when a trace asks.  ``leq`` builds no proof;
+its decisions are memoised in the theory's tables.  ``leq_trace`` decides
+first and gives every positive answer a proof trace: a tree of primitive
+rule applications that ``check_proof`` can verify without trusting the
+algorithm.  Proof nodes are immutable tuples; the traces of one left type
+share subproofs through its ``proofs`` row, and those through the omega ->
+omega head end in the target's ``omega_tails`` entry.
 ``check_proof`` checks one rule instance per node on an explicit stack.
 
 ``leq_oracle`` is the independent safety net: it saturates the subtype
@@ -178,21 +178,22 @@ def proof_to_json(p: Proof) -> dict:
 # --------------------------------------------------------- proof combinators
 
 
-def _projections(t: Type):
+def _projections(t: Type, prove: bool = True):
     """The non-intersection leaves of t, left to right, each with its proof
-    of t <= leaf by a chain of incl projections.  Made lazily on an explicit
-    stack, one projection per intersection node passed; a shared
-    intersection node is expanded once, as in ``conjuncts``."""
+    of t <= leaf by a chain of incl projections, or with False and no proof
+    built unless ``prove``.  Made lazily on an explicit stack, one
+    projection per intersection node passed; a shared intersection node is
+    expanded once, as in ``conjuncts``."""
     seen = set()
-    todo = [(t, _refl(t))]
+    todo = [(t, prove and _refl(t))]
     while todo:
         t, p = todo.pop()
         if isinstance(t, Inter):
             if t not in seen:
                 seen.add(t)
                 todo += (
-                    (t.right, _trans(p, Proof("incl-r", t, t.right))),
-                    (t.left, _trans(p, Proof("incl-l", t, t.left))),
+                    (t.right, prove and _trans(p, Proof("incl-r", t, t.right))),
+                    (t.left, prove and _trans(p, Proof("incl-l", t, t.left))),
                 )
         else:
             yield t, p
@@ -232,28 +233,49 @@ def _arrow_family(t: Type) -> Proof:
 # ---------------------------------------------------------------- leq
 
 
-def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
-    """The arrows a lies below: its arrow conjuncts, the expansions of its
-    equated atoms, and omega -> omega where omega-eta or omega-lazy gives it.
-    Memoised in the theory's tables."""
-    table = spec.tables.heads
+_Head = namedtuple("_Head", "arrow proof")  # a head, with its proof of a <= head
+
+
+def _heads(spec: TheorySpec, a: Type, prove: bool) -> tuple:
+    """The only code that lists a type's arrow heads, in order: its arrow
+    conjuncts, the conjuncts of its equated atoms, and omega -> omega last
+    where omega-eta or omega-lazy gives it.  With ``prove`` each head is a
+    ``_Head`` with its proof of a <= head; without, the bare arrow, and no
+    proof is built.  Memoised in the theory's ``head_proofs`` or ``heads``."""
+    table = spec.tables.head_proofs if prove else spec.tables.heads
     heads = table.get(a)
-    if heads is None:
-        found = []
-        for leaf in conjuncts(a):
-            if isinstance(leaf, Arrow):
-                found.append(leaf)
-            elif isinstance(leaf, Atom):
-                rhs = spec.equations.get(leaf.name)
-                if rhs is not None:
-                    found.extend(conjuncts(rhs))
-        if spec.omega_eta or (spec.omega_lazy and found):
-            found.append(spec.omega_arrow)
-        heads = tuple(found)
-        if len(table) >= TABLE_CAP:
-            table.clear()
-        table[a] = heads
+    if heads is not None:
+        return heads
+    arrows, proofs = [], []
+    for leaf, p in _projections(a, prove):
+        if isinstance(leaf, Arrow):
+            arrows.append(leaf)
+            proofs.append(p)
+        elif isinstance(leaf, Atom):
+            rhs = spec.equations.get(leaf.name)
+            if rhs is not None:
+                unfold = prove and _trans(p, Proof("eq-unfold", leaf, rhs))
+                for arrow, q in _projections(rhs, prove):
+                    arrows.append(arrow)
+                    proofs.append(prove and _trans(unfold, q))
+    if spec.omega_eta or (spec.omega_lazy and arrows):
+        omega, oo = spec.omega, spec.omega_arrow
+        proofs.append(prove and (
+            _trans(Proof("omega-top", a, omega), Proof("omega-eta", omega, oo))
+            if spec.omega_eta else _trans(proofs[0], Proof("omega-lazy", arrows[0], oo))
+        ))
+        arrows.append(oo)
+    heads = tuple(map(_Head, arrows, proofs)) if prove else tuple(arrows)
+    if len(table) >= TABLE_CAP:
+        table.clear()
+    table[a] = heads
     return heads
+
+
+def arrow_heads(spec: TheorySpec, a: Type) -> tuple[Arrow, ...]:
+    """The arrows a lies below, as ``_heads`` lists them."""
+    heads = spec.tables.heads.get(a)
+    return _heads(spec, a, False) if heads is None else heads
 
 
 def _select(spec: TheorySpec, a: Type, c: Type) -> Type | None:
@@ -326,51 +348,12 @@ def leq(spec: TheorySpec, a: Type, b: Type) -> bool:
     return ok
 
 
-class _Head(namedtuple("_Head", "arrow proof")):
-    """An arrow head with its proof of a <= arrow."""
-
-    __slots__ = ()
-
-
-def _head_proofs(spec: TheorySpec, a: Type) -> tuple[_Head, ...]:
-    """``arrow_heads`` with a proof of a <= head for each.  Memoised in the
-    theory's tables."""
-    table = spec.tables.head_proofs
-    heads = table.get(a)
-    if heads is not None:
-        return heads
-    found = []
-    for leaf, proof in _projections(a):
-        if isinstance(leaf, Arrow):
-            found.append(_Head(leaf, proof))
-        elif isinstance(leaf, Atom):
-            rhs = spec.equations.get(leaf.name)
-            if rhs is not None:
-                base = _trans(proof, Proof("eq-unfold", leaf, rhs))
-                for arr, q in _projections(rhs):
-                    found.append(_Head(arr, _trans(base, q)))
-    omega, oo = spec.omega, spec.omega_arrow
-    if spec.omega_eta:
-        found.append(
-            _Head(oo, _trans(Proof("omega-top", a, omega), Proof("omega-eta", omega, oo)))
-        )
-    elif spec.omega_lazy and found:
-        first = found[0]
-        found.append(
-            _Head(oo, _trans(first.proof, Proof("omega-lazy", first.arrow, oo)))
-        )
-    heads = tuple(found)
-    if len(table) >= TABLE_CAP:
-        table.clear()
-    table[a] = heads
-    return heads
-
-
 def _build(spec: TheorySpec, a: Type, b: Type, memo: dict) -> Proof:
     """The proof trace of a <= b, which ``leq`` must have accepted: ``leq``'s
-    cases plus one branch, the omega -> omega proof shape the trace golden
-    pins.  No refuted subgoal is ever proved; ``memo`` shares subproofs and
-    is cleared when it reaches ``TABLE_CAP``."""
+    cases plus one branch, the shape the trace golden pins: an arrow b whose
+    codomain lies above omega is proved through a's last head, omega ->
+    omega where omega-eta or omega-lazy gives it.  No refuted subgoal is
+    ever proved; ``memo`` shares subproofs and is cleared at ``TABLE_CAP``."""
     if a is b:
         return _refl(a)
     key = (a, b)
@@ -395,27 +378,21 @@ def _build_uncached(spec, a, b, memo):
             if leaf is b:
                 return proof
         if b is spec.nu:
-            h = _head_proofs(spec, a)[0]
+            h = _heads(spec, a, True)[0]
             return _trans(h.proof, Proof("nu-top", h.arrow, b))
         rhs = spec.equations[b.name]
         return _trans(_build(spec, a, rhs, memo), Proof("eq-fold", rhs, b))
 
     c, d = b.dom, b.cod
-    omega, oo = spec.omega, spec.omega_arrow
-    if (
-        (spec.omega_eta or (spec.omega_lazy and arrow_heads(spec, a)))
-        and leq(spec, omega, d)
-    ):
-        tail = _omega_tail(spec, b, memo)  # Ω→Ω <= c→d, from Ω under omega-eta
-        if spec.omega_eta:
-            return _trans(Proof("omega-top", a, omega), tail)
-        h = _head_proofs(spec, a)[0]
-        return _trans(h.proof, _trans(Proof("omega-lazy", h.arrow, oo), tail))
+    heads = _heads(spec, a, True)
+    if (spec.omega_eta or spec.omega_lazy) and heads and leq(spec, spec.omega, d):
+        # the last head is omega -> omega, which one of these rules gave
+        return _trans(heads[-1].proof, _omega_tail(spec, b, memo))
 
     # beta-soundness step: take every head whose domain absorbs c
     selected = [
         (h, _build(spec, c, h.arrow.dom, memo))
-        for h in _head_proofs(spec, a)
+        for h in heads
         if leq(spec, c, h.arrow.dom)
     ]
     cods = inter_of([h.arrow.cod for h, _ in selected])
@@ -427,16 +404,14 @@ def _build_uncached(spec, a, b, memo):
 
 
 def _omega_tail(spec: TheorySpec, b: Arrow, memo: dict) -> Proof:
-    """The part of the omega -> omega branch that no left type enters: Ω→Ω
-    <= b by eta, after omega-eta's Ω <= Ω→Ω where the theory has it.
-    Memoised per target in the theory's tables."""
+    """omega -> omega <= b by eta, for b's codomain above omega: the part of
+    the omega -> omega branch that no left type enters.  Memoised per
+    target in the theory's tables."""
     table = spec.tables.omega_tails
     p = table.get(b)
     if p is None:
         omega = spec.omega
         p = _eta(Proof("omega-top", b.dom, omega), _build(spec, omega, b.cod, memo))
-        if spec.omega_eta:
-            p = _trans(Proof("omega-eta", omega, spec.omega_arrow), p)
         if len(table) >= TABLE_CAP:
             table.clear()
         table[b] = p

@@ -1,9 +1,10 @@
 """Every law suite can fail.
 
 Each case breaks one name that ``itypes.laws`` or ``itypes.search_laws``
-reads, or one proof combinator of ``itypes.subtype``, on a fresh theory
-(the law universes are kept with the theory), and expects the laws that
-read it to report failures: a law that cannot fail would pass unseen.
+reads, or one proof combinator or the head walk of ``itypes.subtype``, on a
+fresh theory (the law universes are kept with the theory), and expects the
+laws that read it to report failures: a law that cannot fail would pass
+unseen.
 """
 
 import pytest
@@ -42,6 +43,16 @@ def _swaps_premises(eta):
     return lambda pdom, pcod: eta(pdom, pcod)._replace(premises=(pcod, pdom))
 
 
+def _omega_head_first(heads):
+    # omega -> omega, which omega-eta makes every type's last head in bcd,
+    # comes first: the omega -> omega trace then starts from the proof of
+    # another head
+    def wrong(spec, a, prove):
+        found = heads(spec, a, prove)
+        return found[-1:] + found[:-1]
+    return wrong
+
+
 def _admissible(spec):
     # the corpus comes from the unbroken search
     corpus = [(c, m, a) for c, m, a, _ in search_laws.random_judgments(spec, ATOMS, 0, 25)]
@@ -70,6 +81,9 @@ def _search_laws(spec):
         (subtype, "_eta", _swaps_premises,
          lambda spec: lambda: [laws.trace_soundness_law(spec, ATOMS, 3)],
          {"trace-soundness"}),
+        (subtype, "_heads", _omega_head_first,
+         lambda spec: lambda: [laws.trace_soundness_law(spec, ATOMS, 3)],
+         {"trace-soundness"}),
         (laws, "apply", lambda _: lambda spec, x, y: up(),
          lambda spec: lambda: laws.filter_laws(spec, ATOMS, 3), {"prop-simple"}),
         (laws, "member", _refuses(Arrow),
@@ -83,8 +97,8 @@ def _search_laws(spec):
         (search_laws, "derives", lambda _: lambda *args: (Verdict.UNKNOWN, None), _admissible,
          {"admissible-rules"}),
     ],
-    ids=["leq-irreflexive", "leq-omega-arrow", "check_proof", "build-eta", "apply",
-         "member-arrow", "member-inter", "apply-inter", "check_derivation", "derives"],
+    ids=["leq-irreflexive", "leq-omega-arrow", "check_proof", "build-eta", "head-order",
+         "apply", "member-arrow", "member-inter", "apply-inter", "check_derivation", "derives"],
 )
 def test_every_law_suite_can_fail(monkeypatch, module, name, wrong, suite, failing):
     spec = named_theory(NamedTheory.BCD, 2)

@@ -13,7 +13,7 @@ from itypes.laws import _universe, preorder_laws
 from itypes.subtype import (
     OracleResult,
     Proof,
-    _head_proofs,
+    _heads,
     arrow_heads,
     canonical,
     canonical_types,
@@ -45,7 +45,7 @@ from itypes.theory import (
     spec_from_json,
 )
 
-from theory_gen import generated_spec
+from theory_gen import SPECS, generated_spec
 
 
 # ---------------------------------------------------------------- golden table
@@ -348,7 +348,7 @@ def test_traces_match_golden_digest(all_theories):
                 data = proof_to_json(trace) if trace is not None else None
                 digest.update(json.dumps(data, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "f65ba8e3f1068fba7c36cb35347d35901173c566bccec68ac1e0cf53c58bf2c5"
+        "3d47a4b13a3d3b52a9aea5290d3f1f8e8240d60070d76169bc126405e6144233"
     )
 
 
@@ -362,6 +362,20 @@ def test_traces_of_one_left_type_share_their_subproofs():
     assert check_proof(spec, p)
     mon = p.premises[1]
     assert mon.rule == "mon" and mon.premises[0] is pl and mon.premises[1] is pr
+    # a trace through omega -> omega is the left type's last head proof, by
+    # omega-eta in bcd and omega-lazy in ao, then the target's omega tail,
+    # which the traces of every left type share
+    for which, left, other, target in (
+        (NamedTheory.BCD, "a", "b", "b -> omega"),
+        (NamedTheory.AO, "a -> b", "b -> b", "c -> omega"),
+    ):
+        spec = named_theory(which, 3)
+        left, target = P(left), P(target)
+        p, q = leq_trace(spec, left, target), leq_trace(spec, P(other), target)
+        assert check_proof(spec, p) and check_proof(spec, q)
+        assert p.premises[0] is _heads(spec, left, True)[-1].proof
+        assert p.premises[1] is q.premises[1]
+    assert p.premises[0].rule == "omega-lazy"  # the bare node, as a -> b is one head
     # the proof row and the omega -> omega tails change no trace: traces
     # built in row order and in a shuffled order print the same
     rng = random.Random(7)
@@ -379,10 +393,14 @@ def test_traces_of_one_left_type_share_their_subproofs():
 
 
 def test_arrow_heads_match_their_proofs(all_theories):
+    # the generated specs have equated atoms under omega-eta, omega-lazy and
+    # neither
     spec_eq = make_spec({"a", "b"}, BA_RULES, {"a": P("(b -> b) & (b & b -> b)")})
-    for spec in [*all_theories.values(), spec_eq]:
-        for t in enumerate_types(spec.universe_atoms({"a", "b"}), 4):
-            heads = _head_proofs(spec, t)
+    cases = [(spec, {"a", "b"}) for spec in [*all_theories.values(), spec_eq]]
+    cases += [(spec, spec.plain_atoms) for spec in SPECS]
+    for spec, atoms in cases:
+        for t in enumerate_types(spec.universe_atoms(atoms), 4):
+            heads = _heads(spec, t, True)
             assert tuple(h.arrow for h in heads) == arrow_heads(spec, t)
             assert all(h.proof.lhs == t and h.proof.rhs == h.arrow for h in heads)
             assert all(check_proof(spec, h.proof) for h in heads)
@@ -642,7 +660,7 @@ def test_doubled_type_is_walked_once_per_node(all_theories, name):
     spec = all_theories[name]
     a, arrow = P("a"), P("a -> b")
     t, u = _doubled(a), _doubled(arrow)
-    heads = tuple(h.arrow for h in _head_proofs(spec, u))
+    heads = tuple(h.arrow for h in _heads(spec, u, True))
     checks = {
         "t <= a": leq(spec, t, a),
         "not t <= b": not leq(spec, t, P("b")),
